@@ -1,14 +1,13 @@
 # Pre-merge checks for the MESA reproduction.
 #
 #   make ci          # everything a PR must pass: vet + lint + test + test-race + bench-check
+#   make bench-module # vet + test the benchmark harness in bench/ (its own Go module)
 #   make lint        # staticcheck (pinned version; skipped with a notice when unavailable offline)
 #   make test        # tier-1: go build + go test
 #   make test-race   # the sweep fan-out must be race-clean
 #   make fuzz-smoke  # 10s of each Go fuzz target (differential, FP spec, ISA round-trip)
 #   make mesad-smoke # mesad end-to-end self-test: serve, load-generate, scrape /metrics
 #   make bench       # run the Go benchmarks once with -benchmem (allocation counts)
-#   make bench-batch # smoke the batched lockstep engine: BenchmarkBatchRunLoop
-#                    # into batch-bench.out, failing unless it is 0 allocs/op
 #   make bench-json  # write the current performance snapshot to BENCH.json
 #   make bench-check # regression-gate the snapshot against BENCH_baseline.json
 #   make bench-attrib# write the suite-wide bottleneck attribution to ATTRIB.json
@@ -23,9 +22,9 @@ BENCH_TOL ?= 0.02
 # Pinned so every machine lints with the same rule set; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: ci build vet lint test test-race fuzz-smoke mesad-smoke bench bench-batch bench-json bench-check bench-baseline bench-attrib bench-mappers
+.PHONY: ci build vet lint test test-race fuzz-smoke mesad-smoke bench bench-module bench-json bench-check bench-baseline bench-attrib bench-mappers
 
-ci: vet lint test test-race fuzz-smoke mesad-smoke bench-check bench-mappers
+ci: vet lint test test-race bench-module fuzz-smoke mesad-smoke bench-check bench-mappers
 
 # Prefer a staticcheck already on PATH (matching any version is better than
 # nothing), else fetch the pinned version via `go run`. Offline sandboxes
@@ -52,6 +51,12 @@ test: build
 test-race:
 	$(GO) test -race ./...
 
+# bench/ is its own Go module (the repository benchmark), so the root
+# `go test ./...` never compiles it; it imports internal packages, so API
+# changes must keep it building.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Bounded runs of every native fuzz target. The committed corpora replay in
 # plain `make test`; this additionally explores new inputs for a few seconds
 # per target, which is enough to catch gross regressions in the differential
@@ -74,26 +79,14 @@ mesad-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' .
 
-# Steady-state smoke of the batched data-parallel engine: enough timed steps
-# for the allocation accounting to be meaningful, gated on the 0 allocs/op
-# invariant the SoA hot path guarantees. batch-bench.out is a CI artifact.
-bench-batch:
-	$(GO) test -bench '^BenchmarkBatchRunLoop$$' -benchtime 20000x -benchmem -run '^$$' . | tee batch-bench.out
-	@grep -E '\s0 allocs/op' batch-bench.out >/dev/null || \
-		{ echo "bench-batch: BenchmarkBatchRunLoop is not allocation-free"; exit 1; }
-
 bench-json:
 	$(GO) run ./cmd/mesabench -out BENCH.json
 
-# -batch 8 warms the sweep through the batched lockstep engine and records
-# the measured batch.* wall metrics (lanes, scalar vs batched sweep seconds,
-# speedup) in the snapshot. They are host-dependent, so CompareBench excludes
-# the batch.* prefix from the regression gate in both directions.
 bench-check:
-	$(GO) run ./cmd/mesabench -batch 8 -check BENCH_baseline.json -tol $(BENCH_TOL) -out BENCH.json
+	$(GO) run ./cmd/mesabench -check BENCH_baseline.json -tol $(BENCH_TOL) -out BENCH.json
 
 bench-baseline:
-	$(GO) run ./cmd/mesabench -batch 8 -out BENCH_baseline.json
+	$(GO) run ./cmd/mesabench -out BENCH_baseline.json
 
 bench-attrib:
 	$(GO) run ./cmd/mesabench -json attrib > ATTRIB.json

@@ -231,12 +231,12 @@ func BenchmarkAccelIteration(b *testing.B) {
 	}
 }
 
-// kernelLoopEngine builds an accelerator engine for k's hot loop plus the
+// hotLoopAccel builds an accelerator engine for k's hot loop plus the
 // architectural register state at first loop entry (obtained by functionally
 // simulating up to the loop head, the same state the controller would offload
 // with). ok is false when the kernel's loop does not map directly onto M-128
 // at this pipeline stage.
-func kernelLoopEngine(b *testing.B, k *kernels.Kernel) (*accel.Engine, [isa.NumRegs]uint32, bool) {
+func hotLoopAccel(b *testing.B, k *kernels.Kernel) (*accel.Engine, [isa.NumRegs]uint32, bool) {
 	b.Helper()
 	prog, loopStart := k.MustProgram()
 	var end uint32
@@ -281,7 +281,7 @@ func kernelLoopEngine(b *testing.B, k *kernels.Kernel) (*accel.Engine, [isa.NumR
 func BenchmarkRunIteration(b *testing.B) {
 	for _, k := range kernels.All() {
 		b.Run(k.Name, func(b *testing.B) {
-			engine, entry, ok := kernelLoopEngine(b, k)
+			engine, entry, ok := hotLoopAccel(b, k)
 			if !ok {
 				b.Skipf("%s: hot loop does not map directly on M-128", k.Name)
 			}
@@ -304,74 +304,6 @@ func BenchmarkRunIteration(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBatchRunLoop measures the steady-state cost of stepping eight
-// independent nn-loop simulations in lockstep on one BatchEngine. With
-// -benchmem it doubles as the allocation-free evidence for the batched hot
-// path: 0 allocs/op (also pinned by TestBatchStepZeroAllocs in
-// internal/accel). Each lane gets its own LDFG, placement, and memory —
-// only the stepping loop and the SoA state blocks are shared.
-func BenchmarkBatchRunLoop(b *testing.B) {
-	k, err := kernels.ByName("nn")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const nLanes = 8
-	lanes := make([]accel.BatchLane, nLanes)
-	regs := make([][isa.NumRegs]uint32, nLanes)
-	for i := range lanes {
-		body, be := nnRegion(b)
-		l, err := core.BuildLDFG(body, be.EstimateLat)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lanes[i] = accel.BatchLane{
-			Cfg: be, G: l.Graph, Pos: s.Pos, LoopBranch: l.LoopBranch,
-			Mem: k.NewMemory(experiments.Seed), Hier: mem.MustHierarchy(mem.DefaultHierarchy()),
-		}
-		regs[i][isa.RegA0] = kernels.ArrA
-		regs[i][isa.RegA1] = kernels.ArrB
-		regs[i][isa.RegA2] = kernels.ArrOut
-		regs[i][isa.RegT1] = 1 << 30
-	}
-	eng, err := accel.NewBatchEngine(lanes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runs := make([]accel.LaneRun, nLanes)
-	start := func() {
-		for i := range runs {
-			runs[i] = accel.LaneRun{Lane: i, Regs: &regs[i]}
-		}
-		if err := eng.StartLoops(runs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	start()
-	// Warm once so one-time growth (store-buffer backing arrays) is excluded.
-	if _, err := eng.Step(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		active, err := eng.Step()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if active == 0 {
-			// All lanes retired their loops: restart outside the timer.
-			b.StopTimer()
-			start()
-			b.StartTimer()
-		}
-	}
-	b.ReportMetric(nLanes, "lanes")
 }
 
 // BenchmarkFullSweep measures the end-to-end evaluation sweep — every figure,

@@ -7,7 +7,6 @@
 //	mesabench                 # run everything
 //	mesabench fig11           # one experiment: fig2, fig8, fig11..fig16, table1, table2, attrib
 //	mesabench -parallel 8     # fan the sweeps out over 8 workers
-//	mesabench -batch 8        # step up to 8 simulations in lockstep on one batched engine
 //	mesabench -json fig12     # structured output
 //	mesabench -stats s.json   # also write a worker pool + sim-cache metrics report
 //	mesabench -nocache        # disable the simulation-result cache (every run cold)
@@ -98,7 +97,6 @@ type config struct {
 	checkFile string
 	tol       float64
 	parallel  int
-	batch     int
 	noCache   bool
 	chosen    []experiment
 }
@@ -118,8 +116,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker count for the experiment sweeps; 1 runs everything serially")
-	batch := flag.Int("batch", 0,
-		"lane count for the batched lockstep engine warming the MESA sweeps; 0 or 1 = scalar engines")
 	noCache := flag.Bool("nocache", false,
 		"disable the cross-experiment simulation-result cache (every simulation runs cold)")
 	cacheSize := flag.Int("cache-size", experiments.DefaultSimMemoCapacity,
@@ -133,11 +129,6 @@ func main() {
 
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "mesabench: invalid -parallel %d\n", *parallel)
-		usage()
-		os.Exit(2)
-	}
-	if *batch < 0 {
-		fmt.Fprintf(os.Stderr, "mesabench: invalid -batch %d\n", *batch)
 		usage()
 		os.Exit(2)
 	}
@@ -174,7 +165,7 @@ func main() {
 	cfg := config{
 		asJSON: *asJSON, statsFile: *statsFile,
 		outFile: *outFile, checkFile: *checkFile, tol: *tol,
-		parallel: *parallel, batch: *batch, noCache: *noCache,
+		parallel: *parallel, noCache: *noCache,
 	}
 	// -out/-check run the snapshot collection; experiments run only when
 	// named explicitly alongside them.
@@ -196,19 +187,6 @@ func realMain(cfg config, cpuProfile, memProfile string) int {
 	if cfg.noCache {
 		experiments.SetSimMemoEnabled(false)
 		defer experiments.SetSimMemoEnabled(true)
-	}
-	if cfg.batch >= 2 {
-		// Snapshot collection appends the batch.* wall metrics when batching
-		// was requested (they are excluded from -check comparisons).
-		prevLanes := experiments.SetBenchBatchLanes(cfg.batch)
-		defer experiments.SetBenchBatchLanes(prevLanes)
-		// Warm the shared simulation cache with one batched sweep; every
-		// experiment below then renders from entries byte-identical to the
-		// scalar ones (the batch differential tests pin that). With -nocache
-		// nothing could be reused, so the warmup is skipped.
-		if !cfg.noCache {
-			experiments.RunMESABatch(experiments.DefaultSweepPoints(), cfg.batch)
-		}
 	}
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)

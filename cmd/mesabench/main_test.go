@@ -53,34 +53,20 @@ func runMesabench(t *testing.T, args ...string) (string, int) {
 	return string(out), ee.ExitCode()
 }
 
-// TestBatchFlagValidation pins the -batch contract at the command level: a
-// negative lane count is a usage error — exit 2 with the flag named and the
-// usage text printed — exactly like an invalid -parallel.
-func TestBatchFlagValidation(t *testing.T) {
-	out, code := runMesabench(t, "-batch", "-1", "table1")
-	if code != 2 {
-		t.Fatalf("mesabench -batch -1: exit %d, want 2\noutput:\n%s", code, out)
-	}
-	if !strings.Contains(out, "invalid -batch -1") {
-		t.Errorf("error does not name the flag value:\n%s", out)
-	}
-	if !strings.Contains(out, "usage: mesabench") {
-		t.Errorf("usage text missing:\n%s", out)
-	}
-
-	// Parity with -parallel, whose contract -batch mirrors.
-	out, code = runMesabench(t, "-parallel", "0", "table1")
+// TestParallelFlagValidation pins the -parallel contract at the command
+// level: a worker count below one is a usage error — exit 2 with the flag
+// value named.
+func TestParallelFlagValidation(t *testing.T) {
+	out, code := runMesabench(t, "-parallel", "0", "table1")
 	if code != 2 || !strings.Contains(out, "invalid -parallel 0") {
 		t.Errorf("mesabench -parallel 0: exit %d, output:\n%s", code, out)
 	}
 }
 
-// TestBatchByteIdentity is the end-to-end determinism gate for the batched
-// path: `-parallel 8 -batch 8` must render byte-identical experiment output
-// to `-parallel 1 -batch 0` (modulo the wall-time headers), because the
-// batched engine is observationally identical and the warmed cache entries
-// are the same bytes the scalar runs would compute.
-func TestBatchByteIdentity(t *testing.T) {
+// TestParallelByteIdentity is the end-to-end determinism gate for the worker
+// pool: `-parallel 8` must render byte-identical experiment output to
+// `-parallel 1` (modulo the wall-time headers).
+func TestParallelByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment rendering in -short mode")
 	}
@@ -93,28 +79,25 @@ func TestBatchByteIdentity(t *testing.T) {
 	if len(chosen) != 2 {
 		t.Fatalf("experiment registry missing fig11/fig14")
 	}
-
-	experiments.ResetSimMemo()
-	scalarCfg := config{parallel: 1, batch: 0, tol: 0.02, chosen: chosen}
-	var scalarCode int
-	scalar := captureStdout(t, func() { scalarCode = realMain(scalarCfg, "", "") })
-	if scalarCode != 0 {
-		t.Fatalf("-parallel 1 -batch 0 run: exit %d", scalarCode)
-	}
-
-	experiments.ResetSimMemo()
+	defer experiments.SetWorkers(experiments.Workers())
 	defer experiments.ResetSimMemo()
-	batchCfg := config{parallel: 8, batch: 8, tol: 0.02, chosen: chosen}
-	var batchCode int
-	batched := captureStdout(t, func() { batchCode = realMain(batchCfg, "", "") })
-	if batchCode != 0 {
-		t.Fatalf("-parallel 8 -batch 8 run: exit %d", batchCode)
+	render := func(workers int) string {
+		t.Helper()
+		experiments.ResetSimMemo()
+		experiments.SetWorkers(workers)
+		var code int
+		out := captureStdout(t, func() {
+			code = realMain(config{parallel: workers, tol: 0.02, chosen: chosen}, "", "")
+		})
+		if code != 0 {
+			t.Fatalf("-parallel %d run: exit %d", workers, code)
+		}
+		return wallTimes.ReplaceAllString(out, "(T)")
 	}
 
-	got := wallTimes.ReplaceAllString(batched, "(T)")
-	want := wallTimes.ReplaceAllString(scalar, "(T)")
-	if got != want {
-		t.Errorf("batched output differs from scalar:\nscalar:\n%s\nbatched:\n%s", want, got)
+	serial, parallel := render(1), render(8)
+	if parallel != serial {
+		t.Errorf("-parallel 8 output differs from -parallel 1:\n-parallel 1:\n%s\n-parallel 8:\n%s", serial, parallel)
 	}
 }
 

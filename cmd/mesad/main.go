@@ -21,9 +21,8 @@
 //	POST /v1/simulate   {"kernel":"nn","backend":"M-128","mapper":"greedy"}
 //	                    or {"program":{"base":4096,"words":[...]}}
 //	POST /v1/simulate/batch  {"requests":[...]} — up to 64 requests answered
-//	                    in one round trip; cold kernels run on the batched
-//	                    lockstep engine; each item body matches /v1/simulate
-
+//	                    in one round trip, simulated concurrently on the
+//	                    worker pool; each item body matches /v1/simulate
 //	GET  /v1/kernels    list the built-in kernels
 //	GET  /metrics       every counter surface (server, latency histograms,
 //	                    pool, sim cache) as JSON; Accept: text/plain selects

@@ -10,12 +10,22 @@ import (
 	"mesa/internal/obs"
 )
 
+// allocLoopFixture is the engine-construction input allocLoopLane returns.
+type allocLoopFixture struct {
+	Cfg        *Config
+	G          *dfg.Graph
+	Pos        []noc.Coord
+	LoopBranch dfg.NodeID
+	Mem        *mem.Memory
+	Hier       *mem.Hierarchy
+}
+
 // allocLoopLane builds a small but feature-complete loop — strided load, ALU
 // op, store, same-line second load (forwarding/coalescing), induction update,
 // and a loop-closing branch — with prefetch and vectorization enabled, plus
 // the pre-touched memory pages its iterations walk. Each call constructs a
-// fresh graph and memory, so multiple lanes never share state.
-func allocLoopLane(t testing.TB, timeShare bool) (BatchLane, [isa.NumRegs]uint32) {
+// fresh graph and memory, so multiple engines never share state.
+func allocLoopLane(t testing.TB, timeShare bool) (allocLoopFixture, [isa.NumRegs]uint32) {
 	t.Helper()
 	g := dfg.NewGraph()
 	// n0: lw x5, 0(x10)
@@ -74,7 +84,7 @@ func allocLoopLane(t testing.TB, timeShare bool) (BatchLane, [isa.NumRegs]uint32
 	var regs [isa.NumRegs]uint32
 	regs[isa.X10] = 0x1000
 	regs[isa.X11] = 0x3f000
-	return BatchLane{Cfg: cfg, G: g, Pos: pos, LoopBranch: id6, Mem: memory, Hier: hier}, regs
+	return allocLoopFixture{Cfg: cfg, G: g, Pos: pos, LoopBranch: id6, Mem: memory, Hier: hier}, regs
 }
 
 // allocLoop constructs a scalar engine over the allocLoopLane fixture.

@@ -9,7 +9,6 @@ import (
 
 	"mesa/internal/dfg"
 	"mesa/internal/isa"
-	"mesa/internal/noc"
 )
 
 // AttribSchemaVersion identifies the attribution report layout. Bump it when
@@ -106,37 +105,12 @@ type Attribution struct {
 	ActiveCycles float64 `json:"active_cycles"`
 }
 
-// attribSource is the state a bottleneck attribution derives from. Both the
-// scalar Engine and each BatchEngine lane project themselves onto one, so
-// the batched path produces byte-identical reports by construction: there is
-// exactly one implementation of the attribution math.
-type attribSource struct {
-	cfg         *Config
-	g           *dfg.Graph
-	pos         []noc.Coord
-	counters    *Counters
-	timeShared  bool
-	maxUnitWork float64
-}
-
-// attribSource projects the engine onto the shared attribution view.
-func (e *Engine) attribSource() *attribSource {
-	return &attribSource{
-		cfg: e.cfg, g: e.g, pos: e.pos, counters: &e.counters,
-		timeShared: e.timeShared, maxUnitWork: e.maxUnitWork,
-	}
-}
-
 // Explain computes the full bottleneck attribution for this engine's
 // measured counters under the given loop options. InitiationInterval is
 // defined as the (II, Chosen) projection of this report, so the two can
 // never disagree. With no completed iterations the report is the documented
 // degenerate default: II 1, bound "dependence", empty heatmaps.
 func (e *Engine) Explain(opts LoopOptions) *Attribution {
-	return e.attribSource().explain(opts)
-}
-
-func (e *attribSource) explain(opts LoopOptions) *Attribution {
 	tiles := opts.Tiles
 	if tiles < 1 {
 		tiles = 1
@@ -237,7 +211,7 @@ func (e *attribSource) explain(opts LoopOptions) *Attribution {
 
 // liveInUsed reports whether register r is read as a live-in anywhere in
 // the graph (including predication live-ins).
-func (e *attribSource) liveInUsed(r isa.Reg) bool {
+func (e *Engine) liveInUsed(r isa.Reg) bool {
 	for i := range e.g.Nodes {
 		n := &e.g.Nodes[i]
 		for k := 0; k < 3; k++ {
@@ -254,7 +228,7 @@ func (e *attribSource) liveInUsed(r isa.Reg) bool {
 
 // peUtilization groups the per-node latency counters by configured unit
 // (bus-fallback nodes carry no unit) and normalizes by active cycles.
-func (e *attribSource) peUtilization() []PEUtil {
+func (e *Engine) peUtilization() []PEUtil {
 	type key struct{ row, col int }
 	acc := map[key]*PEUtil{}
 	for i := range e.g.Nodes {
@@ -290,7 +264,7 @@ func (e *attribSource) peUtilization() []PEUtil {
 
 // rowOccupancy reports each grid row's NoC lane occupancy. Rows with no
 // transfers are included so the heatmap covers the whole array.
-func (e *attribSource) rowOccupancy() []RowOccupancy {
+func (e *Engine) rowOccupancy() []RowOccupancy {
 	lanes := max(1, e.cfg.NoCLanesPerRow)
 	out := make([]RowOccupancy, e.cfg.Rows)
 	for r := range out {
@@ -307,7 +281,7 @@ func (e *attribSource) rowOccupancy() []RowOccupancy {
 
 // portShares reports each shared memory port's grants and its share of the
 // total port-contention stall cycles.
-func (e *attribSource) portShares() []PortShare {
+func (e *Engine) portShares() []PortShare {
 	out := make([]PortShare, len(e.counters.PortGrants))
 	for p := range out {
 		out[p] = PortShare{

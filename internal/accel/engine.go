@@ -280,10 +280,8 @@ func NewEngine(cfg *Config, g *dfg.Graph, pos []noc.Coord, loopBranch dfg.NodeID
 
 // buildEdgeIndex assigns every distinct (from,to) dependency pair a dense
 // index into the Counters edge slices. Duplicate pairs (a node consuming the
-// same producer through several operand slots) share one index, so per-pair
-// aggregation is identical to the previous map-keyed accumulation. It is a
-// free function because the scalar Engine and the batched engine both build
-// the same index from the same graph.
+// same producer through several operand slots) share one index, so their
+// measurements aggregate per pair.
 func buildEdgeIndex(g *dfg.Graph) ([]nodeEdges, []uint64) {
 	edges := make([]nodeEdges, g.Len())
 	var pairs []uint64
@@ -819,8 +817,7 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 func (e *Engine) AddElapsed(cycles float64) { e.activity.Cycles += cycles }
 
 // loadThroughBuffer reads memory as seen at this point of the iteration:
-// earlier enabled stores of the same iteration shadow memory contents. It is
-// a free function shared by the scalar and batched engines.
+// earlier enabled stores of the same iteration shadow memory contents.
 func loadThroughBuffer(m *mem.Memory, op isa.Op, addr uint32, buf []storeBufEntry) (uint32, error) {
 	width := mem.AccessBytes(op)
 	covered := false

@@ -91,22 +91,20 @@ func (e *Engine) RunLoop(regs *[isa.NumRegs]uint32, opts LoopOptions) (*LoopResu
 			break
 		}
 	}
-	finishLoop(res, e.attribSource(), opts)
+	e.finishLoop(res, opts)
 	e.AddElapsed(res.TotalCycles)
 	return res, nil
 }
 
 // finishLoop derives the mode-adjusted totals and the attribution report for
-// an executed loop. It is shared by the scalar RunLoop and the batched
-// engine's per-lane finalization, so both paths produce identical results
-// from identical counters. opts.Tiles must already be normalized (>= 1).
-func finishLoop(res *LoopResult, src *attribSource, opts LoopOptions) {
+// an executed loop. opts.Tiles must already be normalized (>= 1).
+func (e *Engine) finishLoop(res *LoopResult, opts LoopOptions) {
 	res.AvgIterCycles = res.SerialCycles / float64(res.Iterations)
 	res.II = res.AvgIterCycles
 	res.TotalCycles = res.SerialCycles
 	res.Bound = "serial"
 
-	res.Attrib = src.explain(opts)
+	res.Attrib = e.Explain(opts)
 	if opts.Pipelined || opts.Tiles > 1 {
 		res.II = res.Attrib.II
 		res.Bound = res.Attrib.Chosen
@@ -147,14 +145,7 @@ func (e *Engine) Feedback(g *dfg.Graph) (nodes, edges int, err error) {
 	if g.Len() != e.g.Len() {
 		return 0, 0, fmt.Errorf("accel: feedback graph has %d nodes, engine has %d", g.Len(), e.g.Len())
 	}
-	nodes, edges = applyFeedback(g, &e.counters)
-	return nodes, edges, nil
-}
-
-// applyFeedback folds a counter set's measured latencies back into g.
-// Shared by the scalar engine's Feedback and the batched per-lane path.
-// The caller must have verified that g matches the counters' graph.
-func applyFeedback(g *dfg.Graph, c *Counters) (nodes, edges int) {
+	c := &e.counters
 	for i := range g.Nodes {
 		if n := c.OpLatN[i]; n > 0 {
 			measured := c.OpLatSum[i] / float64(n)
@@ -178,7 +169,7 @@ func applyFeedback(g *dfg.Graph, c *Counters) (nodes, edges int) {
 		}
 		g.SetEdgeLatency(from, to, measured)
 	}
-	return nodes, edges
+	return nodes, edges, nil
 }
 
 // MeasuredAMAT returns the average measured load latency in cycles.

@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"mesa/internal/accel"
-	"mesa/internal/dfg"
 	"mesa/internal/kernels"
 	"mesa/internal/mapping"
 	"mesa/internal/mem"
-	"mesa/internal/noc"
 	"mesa/internal/sim"
 )
 
@@ -32,11 +30,14 @@ type batchDiffOutcome struct {
 	report  *Report
 }
 
-// TestBatchEngineDifferential is the controller-level lockstep gate: every
-// suite kernel, under every registered placement strategy, runs its spatial
-// M-128 and 4x4 time-shared configurations both on scalar engines and as
-// lanes of one shared accel.BatchRunner. The batched reports must match the
-// scalar ones on every observable — cycles, counters, attribution, activity,
+// TestBatchEngineDifferential is the controller-level batch gate. A batch of
+// simulations (a mesad batch request, a parallel sweep) runs as a fan-out of
+// independent controllers, each on its own scalar engine, so its results are
+// only right if concurrent controllers share no mutable state. Every suite
+// kernel, under every registered placement strategy, runs its spatial M-128
+// and 4x4 time-shared configurations once sequentially and once as
+// concurrent goroutines; the concurrent reports must match the sequential
+// ones on every observable — cycles, counters, attribution, activity,
 // registers, and final memory.
 func TestBatchEngineDifferential(t *testing.T) {
 	strategies := mapping.Names()
@@ -78,34 +79,22 @@ func TestBatchEngineDifferential(t *testing.T) {
 					}
 
 					variants := []bool{false, true} // spatial, time-shared
-					scalar := make([]batchDiffOutcome, len(variants))
-					scalarErr := make([]error, len(variants))
+					sequential := make([]batchDiffOutcome, len(variants))
+					sequentialErr := make([]error, len(variants))
 					for i, shared := range variants {
-						scalar[i], scalarErr[i] = runOnce(optsFor(shared))
+						sequential[i], sequentialErr[i] = runOnce(optsFor(shared))
 					}
 
-					// Batched: both variants as lanes of one runner. The two
-					// lanes decode the same program into the same graph shape,
-					// so both step on the shared BatchEngine in lockstep.
-					batched := make([]batchDiffOutcome, len(variants))
-					batchedErr := make([]error, len(variants))
-					r := accel.NewBatchRunner(len(variants))
+					// Concurrent: every variant on its own goroutine, the way
+					// a batch fans out over the worker pool.
+					concurrent := make([]batchDiffOutcome, len(variants))
+					concurrentErr := make([]error, len(variants))
 					var wg sync.WaitGroup
 					for i, shared := range variants {
 						wg.Add(1)
 						go func(i int, shared bool) {
 							defer wg.Done()
-							h := r.Lane(i)
-							defer h.Finish()
-							opts := optsFor(shared)
-							opts.EngineFactory = func(cfg *accel.Config, g *dfg.Graph, pos []noc.Coord, loopBranch dfg.NodeID, m *mem.Memory, hier *mem.Hierarchy) (LoopEngine, error) {
-								eng, err := h.Engine(cfg, g, pos, loopBranch, m, hier)
-								if err != nil {
-									return nil, err
-								}
-								return eng, nil
-							}
-							batched[i], batchedErr[i] = runOnce(opts)
+							concurrent[i], concurrentErr[i] = runOnce(optsFor(shared))
 						}(i, shared)
 					}
 					wg.Wait()
@@ -115,14 +104,14 @@ func TestBatchEngineDifferential(t *testing.T) {
 						if shared {
 							name = "M-16-shared"
 						}
-						if (batchedErr[i] != nil) != (scalarErr[i] != nil) {
-							t.Errorf("%s: batched err %v, scalar err %v", name, batchedErr[i], scalarErr[i])
+						if (concurrentErr[i] != nil) != (sequentialErr[i] != nil) {
+							t.Errorf("%s: concurrent err %v, sequential err %v", name, concurrentErr[i], sequentialErr[i])
 							continue
 						}
-						if scalarErr[i] != nil {
+						if sequentialErr[i] != nil {
 							continue
 						}
-						compareBatchOutcome(t, name, scalar[i], batched[i])
+						compareBatchOutcome(t, name, sequential[i], concurrent[i])
 					}
 				})
 			}
@@ -133,35 +122,35 @@ func TestBatchEngineDifferential(t *testing.T) {
 func compareBatchOutcome(t *testing.T, name string, want, got batchDiffOutcome) {
 	t.Helper()
 	if !want.mem.Equal(got.mem) {
-		t.Errorf("%s: batched memory diverged at %#x", name, want.mem.Diff(got.mem, 8))
+		t.Errorf("%s: concurrent memory diverged at %#x", name, want.mem.Diff(got.mem, 8))
 	}
 	for r := range want.machine.Regs {
 		if got.machine.Regs[r] != want.machine.Regs[r] {
-			t.Errorf("%s: x/f%d = %#x, scalar %#x", name, r, got.machine.Regs[r], want.machine.Regs[r])
+			t.Errorf("%s: x/f%d = %#x, sequential %#x", name, r, got.machine.Regs[r], want.machine.Regs[r])
 		}
 	}
 	if got.report.CPURetired != want.report.CPURetired {
-		t.Errorf("%s: CPURetired = %d, scalar %d", name, got.report.CPURetired, want.report.CPURetired)
+		t.Errorf("%s: CPURetired = %d, sequential %d", name, got.report.CPURetired, want.report.CPURetired)
 	}
 	if got.report.AccelIterations != want.report.AccelIterations {
-		t.Errorf("%s: AccelIterations = %d, scalar %d", name, got.report.AccelIterations, want.report.AccelIterations)
+		t.Errorf("%s: AccelIterations = %d, sequential %d", name, got.report.AccelIterations, want.report.AccelIterations)
 	}
 	if len(got.report.Regions) != len(want.report.Regions) {
-		t.Fatalf("%s: %d regions, scalar %d", name, len(got.report.Regions), len(want.report.Regions))
+		t.Fatalf("%s: %d regions, sequential %d", name, len(got.report.Regions), len(want.report.Regions))
 	}
 	for i := range want.report.Regions {
 		p, q := want.report.Regions[i], got.report.Regions[i]
 		if q.TotalCycles() != p.TotalCycles() || q.FinalII != p.FinalII || q.Bound != p.Bound ||
 			q.Iterations != p.Iterations || q.Tiles != p.Tiles || q.Reconfigs != p.Reconfigs {
-			t.Errorf("%s region %d: batched %.3f cyc II %.3f (%s) iters %d, scalar %.3f cyc II %.3f (%s) iters %d",
+			t.Errorf("%s region %d: concurrent %.3f cyc II %.3f (%s) iters %d, sequential %.3f cyc II %.3f (%s) iters %d",
 				name, i, q.TotalCycles(), q.FinalII, q.Bound, q.Iterations,
 				p.TotalCycles(), p.FinalII, p.Bound, p.Iterations)
 		}
 		if !reflect.DeepEqual(p.Counters, q.Counters) {
-			t.Errorf("%s region %d: counters differ:\nscalar:  %+v\nbatched: %+v", name, i, p.Counters, q.Counters)
+			t.Errorf("%s region %d: counters differ:\nsequential: %+v\nconcurrent: %+v", name, i, p.Counters, q.Counters)
 		}
 		if p.Activity != q.Activity {
-			t.Errorf("%s region %d: activity differs:\nscalar:  %+v\nbatched: %+v", name, i, p.Activity, q.Activity)
+			t.Errorf("%s region %d: activity differs:\nsequential: %+v\nconcurrent: %+v", name, i, p.Activity, q.Activity)
 		}
 		if (p.Attrib == nil) != (q.Attrib == nil) {
 			t.Fatalf("%s region %d: attribution presence differs", name, i)
@@ -175,7 +164,7 @@ func compareBatchOutcome(t *testing.T, name string, want, got batchDiffOutcome) 
 				t.Fatal(err)
 			}
 			if pj.String() != qj.String() {
-				t.Errorf("%s region %d: attribution differs:\nscalar:  %s\nbatched: %s",
+				t.Errorf("%s region %d: attribution differs:\nsequential: %s\nconcurrent: %s",
 					name, i, pj.String(), qj.String())
 			}
 		}

@@ -68,15 +68,6 @@ type Options struct {
 	// phase changes, and accelerator events. nil (the default) disables
 	// tracing with no overhead beyond one branch per hook.
 	Recorder *obs.Recorder
-
-	// EngineFactory overrides how offload builds accelerator engines from
-	// decoded bitstream configurations (nil uses accel.NewEngine). It is a
-	// mechanism knob, not a semantics knob — implementations must behave
-	// byte-identically to the scalar engine — so it is deliberately
-	// excluded from Fingerprint: memoized results are valid across engine
-	// mechanisms (the batched sweep path relies on this to share cache
-	// entries with scalar runs).
-	EngineFactory EngineFactory
 }
 
 // DefaultOptions returns the evaluation defaults for a backend.
@@ -637,10 +628,9 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 
 // engineFromBitstream serializes the mapping to the configuration bitstream
 // and builds the accelerator engine from the decoded stream, returning the
-// stream size in words. The engine comes from Options.EngineFactory when
-// set (e.g. a batched lane), and accel.NewEngine otherwise; either way the
-// bitstream provably carries the complete configuration.
-func (c *Controller) engineFromBitstream(be *accel.Config, ldfg *LDFG, sdfg *SDFG, memory *mem.Memory, hier *mem.Hierarchy) (LoopEngine, int, error) {
+// stream size in words, so the bitstream provably carries the complete
+// configuration.
+func (c *Controller) engineFromBitstream(be *accel.Config, ldfg *LDFG, sdfg *SDFG, memory *mem.Memory, hier *mem.Hierarchy) (*accel.Engine, int, error) {
 	bits, err := accel.EncodeConfig(ldfg.Graph, sdfg.Pos, ldfg.LoopBranch)
 	if err != nil {
 		return nil, 0, err
@@ -648,13 +638,6 @@ func (c *Controller) engineFromBitstream(be *accel.Config, ldfg *LDFG, sdfg *SDF
 	g, pos, loopBranch, err := accel.DecodeConfig(bits)
 	if err != nil {
 		return nil, 0, err
-	}
-	if c.opts.EngineFactory != nil {
-		engine, err := c.opts.EngineFactory(be, g, pos, loopBranch, memory, hier)
-		if err != nil {
-			return nil, 0, err
-		}
-		return engine, bits.Words(), nil
 	}
 	engine, err := accel.NewEngine(be, g, pos, loopBranch, memory, hier)
 	if err != nil {

@@ -10,10 +10,7 @@ import (
 // affect the controller's simulated behaviour to w, for content-hash cache
 // keys. The Recorder is deliberately excluded: tracing never perturbs
 // architectural or timing state (enforced by TestObservabilityDifferential),
-// and callers that trace bypass result caching anyway. EngineFactory is
-// excluded for the same reason: every factory must produce engines
-// byte-identical to the scalar path (enforced by the batch differential
-// tests), so scalar and batched runs legitimately share cache entries.
+// and callers that trace bypass result caching anyway.
 func (o *Options) Fingerprint(w io.Writer) {
 	io.WriteString(w, "core|")
 	o.Backend.Fingerprint(w)

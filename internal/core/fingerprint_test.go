@@ -5,10 +5,7 @@ import (
 	"testing"
 
 	"mesa/internal/accel"
-	"mesa/internal/dfg"
 	"mesa/internal/mapping"
-	"mesa/internal/mem"
-	"mesa/internal/noc"
 	"mesa/internal/obs"
 )
 
@@ -73,9 +70,8 @@ func TestFingerprintKeysRefinementKnobs(t *testing.T) {
 }
 
 // TestFingerprintDistinguishesEveryOption: every semantics-bearing Options
-// field must perturb the fingerprint — a collision would let scalar and
-// batched sweeps (which share the memo cache by design) serve one
-// configuration's result for another.
+// field must perturb the fingerprint — a collision would let the memo cache
+// serve one configuration's result for another.
 func TestFingerprintDistinguishesEveryOption(t *testing.T) {
 	congestion, err := mapping.ByName("congestion")
 	if err != nil {
@@ -129,11 +125,10 @@ func TestFingerprintDistinguishesEveryOption(t *testing.T) {
 }
 
 // TestFingerprintExcludesMechanismKnobs pins the documented exclusions:
-// Recorder, EngineFactory, and MapperOpts.Attrib must NOT perturb the
-// fingerprint — tracing never changes simulated behaviour, every engine
-// factory is byte-identical to the scalar engine, and Attrib is per-call
-// feedback the controller fills during a run. Their exclusion is what lets
-// traced, scalar, and batched runs share memo entries.
+// Recorder, MapperOpts.Attrib and MapperOpts.Sticky must NOT perturb the
+// fingerprint — tracing never changes simulated behaviour, and Attrib and
+// Sticky are per-call state the controller fills during a run. Their
+// exclusion is what lets traced and untraced runs share memo entries.
 func TestFingerprintExcludesMechanismKnobs(t *testing.T) {
 	base := DefaultOptions(accel.M128())
 	want := fingerprintOf(t, &base)
@@ -142,14 +137,6 @@ func TestFingerprintExcludesMechanismKnobs(t *testing.T) {
 	traced.Recorder = obs.NewRecorder()
 	if fingerprintOf(t, &traced) != want {
 		t.Error("Recorder perturbs the fingerprint; traced runs would never share cache entries")
-	}
-
-	batched := base
-	batched.EngineFactory = func(cfg *accel.Config, g *dfg.Graph, pos []noc.Coord, loopBranch dfg.NodeID, m *mem.Memory, hier *mem.Hierarchy) (LoopEngine, error) {
-		return nil, nil
-	}
-	if fingerprintOf(t, &batched) != want {
-		t.Error("EngineFactory perturbs the fingerprint; batched sweeps could not share scalar cache entries")
 	}
 
 	fedback := base

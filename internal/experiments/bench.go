@@ -8,8 +8,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"mesa/internal/accel"
 	"mesa/internal/cpu"
@@ -52,83 +50,14 @@ func (s *BenchSnapshot) Metric(name string) (BenchMetric, bool) {
 	return BenchMetric{}, false
 }
 
-// benchBatchLanes gates the batched-sweep wall measurement appended to the
-// snapshot. Zero (the default) skips it, keeping the metric list fully
-// deterministic; mesabench sets it from -batch when a snapshot is collected.
-var benchBatchLanes atomic.Int64
-
-// SetBenchBatchLanes selects the lane count for the batch.* wall metrics in
-// CollectBench (n < 2 disables them) and returns the previous value.
-func SetBenchBatchLanes(n int) int {
-	return int(benchBatchLanes.Swap(int64(n)))
-}
-
 // CollectBench measures the suite's headline numbers: every kernel on the
 // single-core and 16-core CPU baselines and on the M-128 and M-512 MESA
 // backends. Per-kernel tasks are independent seeded simulations fanned out
 // over the sweep worker pool and reduced in kernel order, so the metric list
 // is byte-identical for any worker count. WallSeconds is left zero for the
 // caller to stamp.
-//
-// When SetBenchBatchLanes enabled it, the snapshot additionally carries
-// batch.* wall metrics: the cold scalar-vs-batched sweep times and their
-// ratio. Those are host-dependent wall-clock values, and CompareBench
-// excludes the whole batch. prefix from regression checks.
 func CollectBench() (*BenchSnapshot, error) {
-	s, err := collectBenchKernels(kernels.All())
-	if err != nil {
-		return nil, err
-	}
-	if lanes := int(benchBatchLanes.Load()); lanes >= 2 {
-		s.Metrics = append(s.Metrics, collectBatchBench(lanes)...)
-		sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
-	}
-	return s, nil
-}
-
-// collectBatchBench times the default sweep cold — memo disabled, so both
-// sides genuinely simulate — through scalar RunMESA calls in a serial loop
-// (the `-batch 0` path) and through RunMESABatch with the given lane count,
-// and reports both walls plus the measured speedup. The sides are
-// interleaved over three repetitions and each side reports its minimum
-// wall: min is the standard noise-resistant wall estimator, and
-// interleaving keeps slow host phases (GC, CPU-frequency shifts, noisy
-// neighbors) from landing entirely on one side. Simulation errors are
-// ignored here: a failing point fails identically on both sides (the
-// differential tests pin that), and the wall comparison is what this
-// measures.
-func collectBatchBench(lanes int) []BenchMetric {
-	pts := DefaultSweepPoints()
-	prev := memoEnabled.Load()
-	SetSimMemoEnabled(false)
-	defer SetSimMemoEnabled(prev)
-
-	const reps = 3
-	scalarSecs := math.Inf(1)
-	batchSecs := math.Inf(1)
-	for r := 0; r < reps; r++ {
-		t0 := time.Now()
-		for _, p := range pts {
-			RunMESA(p.Kernel, p.Backend, p.CPUPerIter, p.Opts)
-		}
-		scalarSecs = math.Min(scalarSecs, time.Since(t0).Seconds())
-
-		t1 := time.Now()
-		RunMESABatch(pts, lanes)
-		batchSecs = math.Min(batchSecs, time.Since(t1).Seconds())
-	}
-
-	speedup := 0.0
-	if batchSecs > 0 {
-		speedup = scalarSecs / batchSecs
-	}
-	return []BenchMetric{
-		{Name: "batch.lanes", Value: float64(lanes)},
-		{Name: "batch.points", Value: float64(len(pts))},
-		{Name: "batch.scalar_wall_seconds", Value: scalarSecs},
-		{Name: "batch.wall_seconds", Value: batchSecs},
-		{Name: "batch.speedup", Value: speedup, HigherIsBetter: true},
-	}
+	return collectBenchKernels(kernels.All())
 }
 
 // benchKernel is the per-kernel raw material for the snapshot metrics.
@@ -289,9 +218,7 @@ type BenchDiff struct {
 // baseline order) plus whether any metric regressed. Metrics only present
 // in the current snapshot are additions, not regressions, and are ignored;
 // metrics missing from the current snapshot are regressions (a kernel or
-// figure silently dropped out of the run). The batch.* metrics are wall-
-// clock measurements — host-dependent by nature, like WallSeconds — so the
-// whole prefix is excluded from comparison in both directions.
+// figure silently dropped out of the run).
 func CompareBench(baseline, current *BenchSnapshot, tol float64) ([]BenchDiff, bool) {
 	cur := make(map[string]BenchMetric, len(current.Metrics))
 	for _, m := range current.Metrics {
@@ -300,9 +227,6 @@ func CompareBench(baseline, current *BenchSnapshot, tol float64) ([]BenchDiff, b
 	diffs := make([]BenchDiff, 0, len(baseline.Metrics))
 	regressed := false
 	for _, b := range baseline.Metrics {
-		if strings.HasPrefix(b.Name, "batch.") {
-			continue
-		}
 		d := BenchDiff{Name: b.Name, Baseline: b.Value}
 		c, ok := cur[b.Name]
 		if !ok {

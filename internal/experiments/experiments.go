@@ -180,9 +180,7 @@ func mesaControllerOptions(k *kernels.Kernel, loopStart uint32, be *accel.Config
 }
 
 // runMESAUncached is the memoized body of RunMESA: one full controller run
-// plus result verification. The batched sweep path reuses it with
-// opts.EngineFactory pointed at a shared lockstep batch; everything else is
-// identical to the scalar path.
+// plus result verification.
 func runMESAUncached(k *kernels.Kernel, be *accel.Config, prog *isa.Program, opts core.Options) (any, error) {
 	ctl := core.NewController(opts)
 	m := k.NewMemory(Seed)

@@ -298,152 +298,6 @@ func (c *memoCache) do(key string, codec *memoCodec, f func() (any, error)) (any
 	return ent.val, ent.err
 }
 
-// memoOutcome pairs a simulation result with its error, for batch lookups
-// where each key succeeds or fails independently.
-type memoOutcome struct {
-	val any
-	err error
-}
-
-// doBatch is do() for a group of keys whose misses one call can compute
-// together (the batched lockstep sweep). Semantics match running do() per
-// key: hits join in-flight or completed entries, misses are pinned before
-// the lock drops (single-flight — a concurrent do() for the same key joins
-// this batch's flight), the disk store is consulted per miss, and run is
-// invoked exactly once with the keys that remain. Hit/miss counters advance
-// per distinct key, so stats stay worker-count-invariant. A panicking run
-// poisons no entry: every unpublished key is evicted, its waiters receive
-// an error naming the panic, and the panic propagates.
-//
-// run must return an outcome for every key it is given; a missing key is
-// reported as an error on that key (never a hang — the entry is always
-// published). Input keys may contain duplicates; the returned map holds one
-// outcome per distinct key.
-func (c *memoCache) doBatch(keys []string, codec *memoCodec, run func(miss []string) map[string]memoOutcome) map[string]memoOutcome {
-	uniq := make([]string, 0, len(keys))
-	seen := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		uniq = append(uniq, k)
-	}
-
-	var waits, missEnts []*memoEntry
-	c.mu.Lock()
-	store := c.store
-	for _, key := range uniq {
-		if e, ok := c.entries[key]; ok {
-			c.hits++
-			c.lru.MoveToFront(e)
-			waits = append(waits, e.Value.(*memoEntry))
-			continue
-		}
-		ent := &memoEntry{key: key, done: make(chan struct{}), inflight: true}
-		c.entries[key] = c.lru.PushFront(ent)
-		c.misses++
-		missEnts = append(missEnts, ent)
-	}
-	c.mu.Unlock()
-
-	finish := func(ent *memoEntry, diskHit bool) {
-		c.mu.Lock()
-		ent.inflight = false
-		if e, ok := c.entries[ent.key]; ok {
-			c.lru.MoveToFront(e)
-		}
-		if diskHit {
-			c.diskHits++
-		}
-		c.evictOverLocked()
-		c.mu.Unlock()
-	}
-
-	pending := make([]*memoEntry, 0, len(missEnts))
-	for _, ent := range missEnts {
-		if codec != nil && store != nil {
-			t0 := time.Now()
-			if data, ok, err := store.Get(ent.key); err != nil {
-				c.countDiskError()
-			} else if ok {
-				if v, err := codec.decode(data); err != nil {
-					// A corrupt blob is dropped and recomputed below.
-					c.countDiskError()
-				} else {
-					ent.val = v
-					close(ent.done)
-					finish(ent, true)
-					observeSince(simHitWaitSeconds, t0)
-					continue
-				}
-			}
-		}
-		pending = append(pending, ent)
-	}
-
-	if len(pending) > 0 {
-		missKeys := make([]string, len(pending))
-		for i, ent := range pending {
-			missKeys[i] = ent.key
-		}
-		var out map[string]memoOutcome
-		t0 := time.Now()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					err := fmt.Errorf("experiments: memoized simulation panicked: %v", r)
-					c.mu.Lock()
-					for _, ent := range pending {
-						ent.err = err
-						c.removeLocked(ent.key)
-					}
-					c.mu.Unlock()
-					for _, ent := range pending {
-						close(ent.done)
-					}
-					panic(r)
-				}
-			}()
-			out = run(missKeys)
-		}()
-		observeSince(simRunSeconds, t0)
-		for _, ent := range pending {
-			o, ok := out[ent.key]
-			if !ok {
-				o = memoOutcome{err: fmt.Errorf("experiments: batch run returned no result for key %s", ent.key)}
-			}
-			ent.val, ent.err = o.val, o.err
-			close(ent.done)
-			if ent.err == nil && codec != nil && store != nil {
-				if data, err := codec.encode(ent.val); err != nil {
-					c.countDiskError()
-				} else if err := store.Put(ent.key, data); err != nil {
-					c.countDiskError()
-				} else {
-					c.countDiskWrite()
-				}
-			}
-			finish(ent, false)
-		}
-	}
-
-	for _, ent := range waits {
-		t0 := time.Now()
-		<-ent.done
-		observeSince(simHitWaitSeconds, t0)
-	}
-
-	res := make(map[string]memoOutcome, len(uniq))
-	for _, ent := range waits {
-		res[ent.key] = memoOutcome{val: ent.val, err: ent.err}
-	}
-	for _, ent := range missEnts {
-		res[ent.key] = memoOutcome{val: ent.val, err: ent.err}
-	}
-	return res
-}
-
 func (c *memoCache) countDiskError() {
 	c.mu.Lock()
 	c.diskErrors++
@@ -508,8 +362,8 @@ func memoKey(kind string, k *kernels.Kernel, fill func(io.Writer)) (string, erro
 
 // memoKeyFromFill is the single construction point for memo keys: a sha256
 // content hash over the entry-point kind and a caller-written fingerprint.
-// memoKey, memoDoProgram, and the batch-sweep kernel grouping all build
-// their keys through it, so their layouts can never drift apart; the unit
+// memoKey and memoDoProgram both build their keys through it, so their
+// layouts can never drift apart; the unit
 // test pins the byte layout so keys (and the disk store entries they
 // address) stay stable across refactors.
 func memoKeyFromFill(kind string, fill func(io.Writer)) string {

@@ -2,11 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"sync"
 	"testing"
 
 	"mesa/internal/accel"
 	"mesa/internal/cpu"
+	"mesa/internal/isa"
 	"mesa/internal/kernels"
 )
 
@@ -216,5 +222,60 @@ func TestSimMemoKeyedByConfig(t *testing.T) {
 	}
 	if r128b.CPUProfilingCycles == r128.CPUProfilingCycles && r128.Iterations < uint64(k.N) {
 		t.Error("cpuPerIter derivation did not run per call")
+	}
+}
+
+// TestMemoKeyFromFillStability pins the memo key construction byte-for-byte.
+// Keys address the on-disk result store, so an accidental layout change
+// would silently orphan every persisted entry: the literal hash below must
+// only ever change deliberately.
+func TestMemoKeyFromFillStability(t *testing.T) {
+	got := memoKeyFromFill("kindA", func(h io.Writer) { io.WriteString(h, "payload") })
+	const want = "94fd61c46be242c6b82760b8af8d7a781f40995c72cbbeeb782e15f054a40901"
+	if got != want {
+		t.Errorf("memoKeyFromFill layout changed:\n got %s\nwant %s", got, want)
+	}
+	if again := memoKeyFromFill("kindA", func(h io.Writer) { io.WriteString(h, "payload") }); again != got {
+		t.Errorf("memoKeyFromFill not deterministic: %s vs %s", got, again)
+	}
+	if other := memoKeyFromFill("kindB", func(h io.Writer) { io.WriteString(h, "payload") }); other == got {
+		t.Error("distinct kinds produced the same key")
+	}
+}
+
+// TestMemoKeyLayout rebuilds memoKey's documented layout by hand — kind,
+// kernel identity, program base and encoded words, literal seed/step bounds,
+// config fingerprint — and checks the production path produces the identical
+// digest. This is the guard that the memoKeyFromFill recomposition did not
+// change what the key hashes.
+func TestMemoKeyLayout(t *testing.T) {
+	k, err := kernels.ByName("nn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, err := k.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := memoKey("mesa", k, func(h io.Writer) { io.WriteString(h, "CFG") })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := sha256.New()
+	fmt.Fprintf(h, "mesa|%s|%d|%t|base%d|", k.Name, k.N, k.Parallel, prog.Base)
+	var word [4]byte
+	for _, in := range prog.Insts {
+		enc, err := isa.Encode(in)
+		if err != nil {
+			fmt.Fprintf(h, "raw%+v|", in)
+			continue
+		}
+		binary.LittleEndian.PutUint32(word[:], enc)
+		h.Write(word[:])
+	}
+	io.WriteString(h, "|seed42|steps50000000|CFG")
+	if want := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("memoKey layout drifted:\n got %s\nwant %s", got, want)
 	}
 }

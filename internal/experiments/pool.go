@@ -81,7 +81,8 @@ func (e *PanicError) Error() string {
 //
 // Error handling is deterministic too: if any tasks fail, Run returns the
 // error of the lowest-indexed failing task (the one a serial loop would
-// have hit first) and cancels the context passed to still-running tasks.
+// have hit first). A failure stops the dispatch of higher-indexed tasks;
+// lower-indexed ones still run, so that task is always reached.
 // A panicking task is captured as a *PanicError instead of tearing down
 // the process. workers < 1 selects runtime.GOMAXPROCS(0); workers == 1
 // runs the tasks serially in index order on the calling goroutine.
@@ -123,9 +124,9 @@ func Run[T any](ctx context.Context, workers, n int, task func(ctx context.Conte
 			}
 		}
 	} else {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
 		var next atomic.Int64
+		var stop atomic.Int64 // lowest failed index so far
+		stop.Store(int64(n))
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -136,13 +137,19 @@ func Run[T any](ctx context.Context, workers, n int, task func(ctx context.Conte
 					if i >= n {
 						return
 					}
+					if int64(i) > stop.Load() {
+						continue
+					}
 					if err := ctx.Err(); err != nil {
 						errs[i] = err
 						continue
 					}
 					call(ctx, i)
-					if errs[i] != nil {
-						cancel() // stop dispatching; running tasks may finish
+					for errs[i] != nil {
+						low := stop.Load()
+						if int64(i) >= low || stop.CompareAndSwap(low, int64(i)) {
+							break
+						}
 					}
 				}
 			}()

@@ -58,10 +58,10 @@ type Kernel struct {
 
 	// mu serializes setup and verify: several kernels carry expected outputs
 	// from setup to verify in closure-captured state (e.g. backprop's weight
-	// vector), and concurrent simulations of one kernel instance — batch
-	// lanes, parallel sweep points — call NewMemory simultaneously. The
-	// state is a pure function of the seed, so serializing keeps every
-	// same-seed caller's view identical.
+	// vector), and concurrent simulations of one kernel instance (parallel
+	// sweep points, concurrent service requests) call NewMemory
+	// simultaneously. The state is a pure function of the seed, so
+	// serializing keeps every same-seed caller's view identical.
 	mu sync.Mutex
 }
 

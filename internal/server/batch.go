@@ -1,16 +1,17 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 
-	"mesa/internal/cpu"
 	"mesa/internal/experiments"
 )
 
 // MaxBatchItems bounds one POST /v1/simulate/batch request. A batch counts
-// as one admission slot (the batched engine parallelises inside it), so the
-// cap keeps a single request from monopolising the simulation layer.
+// as one admission slot (its items simulate concurrently inside it on the
+// experiments worker pool), so the cap keeps a single request from
+// monopolising the simulation layer.
 const MaxBatchItems = 64
 
 // maxBatchBodyBytes bounds the batch request body: MaxBatchItems raw-program
@@ -70,12 +71,11 @@ func (st *batchItemState) errItem(s *Server, e *Error) {
 }
 
 // handleSimulateBatch answers many simulation requests in one round trip:
-// per-item validation and response-store lookups first, then every named
-// kernel that still needs simulating is dispatched through the batched
-// lockstep engine (experiments.RunMESABatch) to warm the simulation memo,
-// and finally each item is answered through the exact single-request path —
-// so every item body is byte-identical to what POST /v1/simulate would have
-// returned for that request, cold or warm.
+// per-item validation and response-store lookups first, then the remaining
+// items fan out over the experiments worker pool, each answered through the
+// exact single-request path — so every item body is byte-identical to what
+// POST /v1/simulate would have returned for that request, cold or warm. The
+// simulation memo is single-flight, so duplicate items simulate once.
 func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.batchRequests.Add(1)
@@ -144,7 +144,7 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.gate }()
 
 	// Response store: items whose exact bytes are already on disk are done
-	// before any simulation is grouped.
+	// before any simulation runs.
 	if s.cfg.Store != nil {
 		endDisk := t.stage(stageDisk)
 		for i := range items {
@@ -160,67 +160,24 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 		endDisk()
 	}
 
+	var pending []int
+	for i := range items {
+		if !items[i].done {
+			pending = append(pending, i)
+		}
+	}
 	endSim := t.stage(stageSimulate)
-	// Warm pass: every named kernel still pending becomes one point of a
-	// batched sweep. RunMESABatch drops memo hits before forming lanes and
-	// publishes every miss (results and errors alike) into the memo, so this
-	// pass is pure warming — the per-item answers below re-read the memo and
-	// stay byte-identical to the single-request path. Baseline-timing
-	// failures are skipped here; the item reproduces the error below.
-	var pts []experiments.BatchPoint
-	for i := range items {
-		st := &items[i]
-		if st.done || st.norm.kernel == nil {
-			continue
-		}
-		single, err := experiments.TimeSingleCore(st.norm.kernel, cpu.DefaultBOOM())
-		if err != nil {
-			continue
-		}
-		pts = append(pts, experiments.BatchPoint{
-			Kernel:     st.norm.kernel,
-			Backend:    st.norm.backend,
-			CPUPerIter: single.Cycles / float64(st.norm.kernel.N),
-			Opts:       experiments.MESAOptions{Mapper: st.norm.mapper},
+	// Per-item failures land in the item, so a task only fails by panicking;
+	// that panic propagates exactly as it would from POST /v1/simulate.
+	_, err := experiments.Run(context.Background(), experiments.Workers(), len(pending),
+		func(_ context.Context, j int) (struct{}, error) {
+			s.answerItem(&items[pending[j]])
+			return struct{}{}, nil
 		})
-	}
-	if len(pts) >= 2 {
-		lanes := len(pts)
-		if width := experiments.Workers(); lanes > width {
-			lanes = width
-		}
-		experiments.RunMESABatch(pts, lanes)
-	}
-
-	// Answer pass: the exact single-request path per item. Kernel items hit
-	// the memo entries the warm pass just published.
-	for i := range items {
-		st := &items[i]
-		if st.done {
-			continue
-		}
-		resp, err := simulate(st.norm)
-		if err != nil {
-			if apiErr, ok := err.(*Error); ok {
-				st.errItem(s, apiErr)
-			} else {
-				st.errItem(s, errf(http.StatusInternalServerError, "simulation failed: %v", err))
-			}
-			continue
-		}
-		data, mErr := EncodeResponse(resp)
-		if mErr != nil {
-			st.errItem(s, errf(http.StatusInternalServerError, "encode: %v", mErr))
-			continue
-		}
-		if s.cfg.Store != nil {
-			if err := s.cfg.Store.Put(st.key, data); err == nil {
-				s.respDiskWrites.Add(1)
-			}
-		}
-		st.finish(http.StatusOK, "miss", data)
-	}
 	endSim()
+	if err != nil {
+		panic(err)
+	}
 
 	out := BatchResponse{SchemaVersion: SchemaVersion, Items: make([]BatchItem, len(items))}
 	for i := range items {
@@ -230,4 +187,29 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(&out)
 	endEncode()
+}
+
+// answerItem resolves one item through the single-request path: simulate,
+// encode, and publish the bytes to the response store.
+func (s *Server) answerItem(st *batchItemState) {
+	resp, err := simulate(st.norm)
+	if err != nil {
+		if apiErr, ok := err.(*Error); ok {
+			st.errItem(s, apiErr)
+		} else {
+			st.errItem(s, errf(http.StatusInternalServerError, "simulation failed: %v", err))
+		}
+		return
+	}
+	data, err := EncodeResponse(resp)
+	if err != nil {
+		st.errItem(s, errf(http.StatusInternalServerError, "encode: %v", err))
+		return
+	}
+	if s.cfg.Store != nil {
+		if err := s.cfg.Store.Put(st.key, data); err == nil {
+			s.respDiskWrites.Add(1)
+		}
+	}
+	st.finish(http.StatusOK, "miss", data)
 }

@@ -116,9 +116,9 @@ func TestBatchItemErrors(t *testing.T) {
 // TestBatchByteIdentity is the endpoint's core contract: every item body —
 // named kernels across backends and mappers, duplicates, and raw programs —
 // is byte-identical to what POST /v1/simulate returns for the same request.
-// The batch runs first (cold, through the batched lockstep engine), the
-// singles after (warm memo hits): equality proves the batched path publishes
-// exactly the bytes the scalar path computes.
+// The batch runs first (cold, fanned out over the worker pool), the singles
+// after (warm memo hits): equality proves the batch publishes exactly the
+// bytes the single-request path computes.
 func TestBatchByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
@@ -215,5 +215,62 @@ func TestBatchResponseStore(t *testing.T) {
 	}
 	if !bytes.Equal(w.Body.Bytes(), withNewline(cold.Items[0].Body)) {
 		t.Error("single request body differs from batch item body")
+	}
+}
+
+// simMemoMisses reads the simulation memo's miss counter.
+func simMemoMisses() float64 {
+	for _, m := range experiments.SimMemoMetrics() {
+		if m.Name == "sim_cache_misses" {
+			return m.Value
+		}
+	}
+	return 0
+}
+
+// TestBatchConcurrentFanOut: a cold batch with duplicate items, answered on
+// two workers, returns every item byte-equal to its POST /v1/simulate body,
+// and the memo's single-flight holds under the fan-out — the batch misses
+// exactly as often as its distinct requests do when sent one by one.
+func TestBatchConcurrentFanOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short mode")
+	}
+	defer experiments.SetWorkers(experiments.SetWorkers(2))
+	experiments.ResetSimMemo()
+	defer experiments.ResetSimMemo()
+
+	distinct := []string{`{"kernel":"nn"}`, `{"kernel":"kmeans"}`, `{"kernel":"pathfinder"}`}
+	// The first two items are the same request, so the two workers start
+	// them together and race for one memo key.
+	singles := []string{distinct[0], distinct[0], distinct[1], distinct[2], distinct[0]}
+	s := New(Config{})
+	br := decodeBatch(t, postBatch(t, s, fmt.Sprintf(`{"requests":[%s]}`, strings.Join(singles, ","))))
+	batchMisses := simMemoMisses()
+	if len(br.Items) != len(singles) {
+		t.Fatalf("items = %d, want %d", len(br.Items), len(singles))
+	}
+
+	experiments.ResetSimMemo()
+	for _, body := range distinct {
+		if w := post(t, s, body); w.Code != http.StatusOK {
+			t.Fatalf("single request %s: status %d: %s", body, w.Code, w.Body.String())
+		}
+	}
+	if singleMisses := simMemoMisses(); batchMisses != singleMisses {
+		t.Errorf("batch of %d items (%d distinct) missed the memo %v times, the distinct singles %v",
+			len(singles), len(distinct), batchMisses, singleMisses)
+	}
+
+	for i, body := range singles {
+		item := br.Items[i]
+		if item.Status != http.StatusOK {
+			t.Errorf("item %d status = %d (body: %s)", i, item.Status, item.Body)
+			continue
+		}
+		if w := post(t, s, body); !bytes.Equal(withNewline(item.Body), w.Body.Bytes()) {
+			t.Errorf("item %d body differs from single request:\nbatch:  %s\nsingle: %s",
+				i, item.Body, w.Body.String())
+		}
 	}
 }
