@@ -161,13 +161,7 @@ func nnRegion(b *testing.B) ([]isa.Inst, *accel.Config) {
 		b.Fatal(err)
 	}
 	prog, loopStart := k.MustProgram()
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
-	return prog.Slice(loopStart, end), accel.M128()
+	return prog.LoopBody(loopStart), accel.M128()
 }
 
 // BenchmarkLDFGBuild measures T1: instruction renaming into the LDFG.
@@ -239,13 +233,8 @@ func BenchmarkAccelIteration(b *testing.B) {
 func hotLoopAccel(b *testing.B, k *kernels.Kernel) (*accel.Engine, [isa.NumRegs]uint32, bool) {
 	b.Helper()
 	prog, loopStart := k.MustProgram()
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
-	if end == 0 {
+	body := prog.LoopBody(loopStart)
+	if body == nil {
 		return nil, [isa.NumRegs]uint32{}, false
 	}
 	machine := sim.New(prog, k.NewMemory(experiments.Seed))
@@ -258,7 +247,7 @@ func hotLoopAccel(b *testing.B, k *kernels.Kernel) (*accel.Engine, [isa.NumRegs]
 		}
 	}
 	be := accel.M128()
-	l, err := core.BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+	l, err := core.BuildLDFG(body, be.EstimateLat)
 	if err != nil {
 		return nil, [isa.NumRegs]uint32{}, false
 	}

@@ -10,8 +10,6 @@
 //	mesabench -json fig12     # structured output
 //	mesabench -stats s.json   # also write a worker pool + sim-cache metrics report
 //	mesabench -nocache        # disable the simulation-result cache (every run cold)
-//	mesabench -cache-size 64  # bound the in-memory result LRU (0 = unbounded)
-//	mesabench -cache-dir d/   # persist CPU-timing results on disk across runs
 //	mesabench -mapper greedy+anneal   # placement strategy for every MESA run
 //	mesabench mappers         # mapper-strategy ablation table
 //	mesabench fuzz -seeds 500 # differential fuzzing sweep (see fuzz.go)
@@ -31,10 +29,9 @@
 // (like the experiment output itself, BENCH metrics included; the snapshot's
 // wall_seconds field is the one host-dependent value and is never compared)
 // — with two caveats. First, sim_cache_entries and sim_cache_evictions are
-// worker-count-invariant only while nothing is evicted: at the default
-// -cache-size the bench working set fits, so they stay invariant; bounding
-// the cache below the working set makes eviction order (and therefore those
-// two counters) depend on concurrent insert order. Second, the
+// worker-count-invariant only while nothing is evicted: the bench working
+// set fits the memo's default capacity (experiments.DefaultSimMemoCapacity),
+// so they stay invariant. Second, the
 // experiments.timing section holds wall-clock histogram summaries, which
 // are host- and scheduling-dependent by nature. Determinism checks exclude
 // exactly the declared variant set (experiments.StatsVariantMetricNames).
@@ -118,10 +115,6 @@ func main() {
 		"worker count for the experiment sweeps; 1 runs everything serially")
 	noCache := flag.Bool("nocache", false,
 		"disable the cross-experiment simulation-result cache (every simulation runs cold)")
-	cacheSize := flag.Int("cache-size", experiments.DefaultSimMemoCapacity,
-		"bound on the in-memory simulation-result LRU (0 = unbounded)")
-	cacheDir := flag.String("cache-dir", "",
-		"content-addressed on-disk store for CPU-timing results; warm results survive across runs (empty = memory only)")
 	mapper := flag.String("mapper", mapping.Default().Name(),
 		"placement strategy for MESA runs ("+strings.Join(mapping.Names(), ", ")+")")
 	flag.Usage = usage
@@ -140,11 +133,6 @@ func main() {
 		os.Exit(2)
 	}
 	experiments.SetMapperStrategy(strat)
-	experiments.SetSimMemoCapacity(*cacheSize)
-	if err := experiments.SetSimMemoDir(*cacheDir); err != nil {
-		fmt.Fprintf(os.Stderr, "mesabench: %v\n", err)
-		os.Exit(1)
-	}
 
 	selected := map[string]bool{}
 	for _, arg := range flag.Args() {

@@ -9,7 +9,7 @@
 //	mesad -addr 127.0.0.1:9000      # explicit listen address
 //	mesad -parallel 8               # admit at most 8 concurrent simulations
 //	mesad -cache-size 1024          # bound the in-memory result LRU
-//	mesad -cache-dir /var/mesa      # persist warm results across restarts
+//	mesad -cache-dir /var/mesa      # persist response bodies across restarts
 //	mesad -mapper congestion        # default placement strategy
 //	mesad -log-level debug          # structured JSON request logs (off|debug|info|warn|error)
 //	mesad -debug-addr 127.0.0.1:0   # serve net/http/pprof on a side listener
@@ -112,7 +112,7 @@ func realMain(args []string, out, errw io.Writer) int {
 	fs.IntVar(&o.cacheSize, "cache-size", experiments.DefaultSimMemoCapacity,
 		"bound on the in-memory simulation-result LRU (0 = unbounded)")
 	fs.StringVar(&o.cacheDir, "cache-dir", "",
-		"content-addressed on-disk result store; warm results survive restarts (empty = memory only)")
+		"content-addressed on-disk store of response bodies; warm responses survive restarts (empty = memory only)")
 	fs.StringVar(&o.mapper, "mapper", mapping.Default().Name(),
 		"default placement strategy ("+strings.Join(mapping.Names(), ", ")+")")
 	fs.StringVar(&o.logLevel, "log-level", "info",
@@ -151,10 +151,6 @@ func realMain(args []string, out, errw io.Writer) int {
 
 	var store *experiments.DiskStore
 	if o.cacheDir != "" {
-		if err := experiments.SetSimMemoDir(o.cacheDir); err != nil {
-			fmt.Fprintln(errw, "mesad:", err)
-			return 1
-		}
 		var err error
 		store, err = experiments.OpenDiskStore(o.cacheDir)
 		if err != nil {
@@ -236,7 +232,8 @@ func realMain(args []string, out, errw io.Writer) int {
 // /metrics in both JSON and Prometheus form (the latter validated with the
 // strict exposition parser), check /healthz and the flight recorder, and
 // shut down gracefully. A small kernel subset keeps the smoke brief; the
-// full 17×3 matrix runs in the server package's tests.
+// full matrix, every kernel under every registered strategy, runs in the
+// server package's tests.
 func runSmoke(srv *server.Server, httpSrv *http.Server, ln net.Listener, tracePath string, out, errw io.Writer) int {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

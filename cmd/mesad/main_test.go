@@ -42,7 +42,6 @@ func TestRealMainBadFlags(t *testing.T) {
 // TestRealMainBadCacheDir: an unusable -cache-dir is an environment failure
 // (exit 1), not a usage error.
 func TestRealMainBadCacheDir(t *testing.T) {
-	defer experiments.SetSimMemoDir("")
 	var out, errw bytes.Buffer
 	// A file in /proc cannot be turned into a directory.
 	code := realMain([]string{"-cache-dir", "/proc/self/cmdline/store"}, &out, &errw)

@@ -99,13 +99,7 @@ func run(w io.Writer, name, backendName, mapperName string, emitDot bool) error 
 	if err != nil {
 		return fmt.Errorf("%s: %w", k.Name, err)
 	}
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
-	body := prog.Slice(loopStart, end)
+	body := prog.LoopBody(loopStart)
 
 	if emitDot {
 		ldfg, err := core.BuildLDFG(body, be.EstimateLat)
@@ -132,7 +126,7 @@ func run(w io.Writer, name, backendName, mapperName string, emitDot bool) error 
 	}
 
 	mix, reason := core.CheckRegion(body, core.DefaultDetectorConfig(be.MaxInstructions()))
-	fmt.Fprintf(w, "region [%#x, %#x): %d instructions\n", loopStart, end, len(body))
+	fmt.Fprintf(w, "region [%#x, %#x): %d instructions\n", loopStart, loopStart+uint32(4*len(body)), len(body))
 	fmt.Fprintf(w, "instruction mix: %d compute, %d memory, %d control (mem frac %.2f)\n",
 		mix.Compute, mix.Memory, mix.Control, mix.MemFrac())
 	if reason != "" {

@@ -19,11 +19,17 @@
 // phases, and per-node accelerator activity on one timeline. -stats writes
 // every counter surface of the run as one JSON report. -cpuprofile and
 // -memprofile write Go pprof profiles of the simulator itself.
+//
+// Bad usage (unknown flags, a missing kernel, -cores or -timeshare below 1)
+// exits 2; simulation, file and stdout write failures exit 1.
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,6 +39,7 @@ import (
 	"mesa/internal/core"
 	"mesa/internal/cpu"
 	"mesa/internal/energy"
+	"mesa/internal/experiments"
 	"mesa/internal/kernels"
 	"mesa/internal/mapping"
 	"mesa/internal/mem"
@@ -54,67 +61,100 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.backend, "backend", "M-128", "accelerator configuration: M-64, M-128, M-512")
-	flag.StringVar(&o.mapper, "mapper", mapping.Default().Name(),
-		"placement strategy ("+strings.Join(mapping.Names(), ", ")+")")
-	flag.IntVar(&o.cores, "cores", 16, "CPU baseline core count")
-	flag.BoolVar(&o.noTiling, "no-tiling", false, "disable spatial tiling")
-	flag.BoolVar(&o.noPipeline, "no-pipeline", false, "disable iteration pipelining")
-	flag.IntVar(&o.timeShare, "timeshare", 1, "time-multiplexing extension: max instructions per PE")
-	flag.BoolVar(&o.explain, "explain", false, "print the bottleneck attribution report per accelerated region")
-	flag.StringVar(&o.traceFile, "trace", "", "write the MESA run as Chrome trace-event JSON to this file")
-	flag.StringVar(&o.statsFile, "stats", "", "write the unified metrics report as JSON to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile of the simulator to this file")
-	list := flag.Bool("list", false, "list available kernels")
-	flag.Parse()
-
-	if *list {
-		for _, k := range kernels.All() {
-			par := "serial"
-			if k.Parallel {
-				par = "parallel"
-			}
-			fmt.Printf("%-14s %-8s N=%-6d %s\n", k.Name, par, k.N, k.Description)
-		}
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mesasim [flags] <kernel>   (or -list)")
-		os.Exit(2)
-	}
 	// Profile teardown must run even on failure, and os.Exit skips defers,
 	// so the exit code is decided inside realMain.
-	os.Exit(realMain(flag.Arg(0), o, *cpuProfile, *memProfile))
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain(kernel string, o options, cpuProfile, memProfile string) int {
+// realMain is the testable entry point. Stdout is buffered; a failed flush
+// (closed pipe, full disk) exits 1 instead of being silently dropped.
+func realMain(args []string, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("mesasim", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	var o options
+	fs.StringVar(&o.backend, "backend", "M-128", "accelerator configuration: M-64, M-128, M-512")
+	fs.StringVar(&o.mapper, "mapper", mapping.Default().Name(),
+		"placement strategy ("+strings.Join(mapping.Names(), ", ")+")")
+	fs.IntVar(&o.cores, "cores", 16, "CPU baseline core count")
+	fs.BoolVar(&o.noTiling, "no-tiling", false, "disable spatial tiling")
+	fs.BoolVar(&o.noPipeline, "no-pipeline", false, "disable iteration pipelining")
+	fs.IntVar(&o.timeShare, "timeshare", 1, "time-multiplexing extension: max instructions per PE")
+	fs.BoolVar(&o.explain, "explain", false, "print the bottleneck attribution report per accelerated region")
+	fs.StringVar(&o.traceFile, "trace", "", "write the MESA run as Chrome trace-event JSON to this file")
+	fs.StringVar(&o.statsFile, "stats", "", "write the unified metrics report as JSON to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile of the simulator to this file")
+	list := fs.Bool("list", false, "list available kernels")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if o.cores < 1 {
+		fmt.Fprintf(errw, "mesasim: invalid -cores %d (want >= 1)\n", o.cores)
+		return 2
+	}
+	if o.timeShare < 1 {
+		fmt.Fprintf(errw, "mesasim: invalid -timeshare %d (want >= 1)\n", o.timeShare)
+		return 2
+	}
+	if !*list && fs.NArg() != 1 {
+		fmt.Fprintln(errw, "usage: mesasim [flags] <kernel>   (or -list)")
+		return 2
+	}
+
+	w := bufio.NewWriter(out)
+	code := 0
+	if *list {
+		listKernels(w)
+	} else {
+		code = simulate(w, errw, fs.Arg(0), o, *cpuProfile, *memProfile)
+	}
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(errw, "mesasim: write:", err)
+		return 1
+	}
+	return code
+}
+
+func listKernels(w io.Writer) {
+	for _, k := range kernels.All() {
+		par := "serial"
+		if k.Parallel {
+			par = "parallel"
+		}
+		fmt.Fprintf(w, "%-14s %-8s N=%-6d %s\n", k.Name, par, k.N, k.Description)
+	}
+}
+
+// simulate runs one kernel under the optional CPU/heap profiles.
+func simulate(w, errw io.Writer, kernel string, o options, cpuProfile, memProfile string) int {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mesasim:", err)
+			fmt.Fprintln(errw, "mesasim:", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, "mesasim:", err)
+			fmt.Fprintln(errw, "mesasim:", err)
 			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mesasim:", err)
+				fmt.Fprintln(errw, "mesasim:", err)
 			}
 		}()
 	}
-	if err := run(kernel, o); err != nil {
-		fmt.Fprintln(os.Stderr, "mesasim:", err)
+	if err := run(w, kernel, o); err != nil {
+		fmt.Fprintln(errw, "mesasim:", err)
 		return 1
 	}
 	if memProfile != "" {
 		if err := writeHeapProfile(memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, "mesasim:", err)
+			fmt.Fprintln(errw, "mesasim:", err)
 			return 1
 		}
 	}
@@ -136,7 +176,7 @@ func writeHeapProfile(path string) error {
 	return f.Close()
 }
 
-func run(name string, o options) error {
+func run(w io.Writer, name string, o options) error {
 	k, err := kernels.ByName(name)
 	if err != nil {
 		return err
@@ -162,19 +202,19 @@ func run(name string, o options) error {
 	if err != nil {
 		return fmt.Errorf("%s failed to assemble: %w", k.Name, err)
 	}
-	fmt.Printf("kernel %s: %d instructions, hot loop at %#x, %d iterations, parallel=%v\n",
+	fmt.Fprintf(w, "kernel %s: %d instructions, hot loop at %#x, %d iterations, parallel=%v\n",
 		k.Name, len(prog.Insts), loopStart, k.N, k.Parallel)
 
 	// 1. Functional reference.
-	refMem := k.NewMemory(experimentsSeed)
+	refMem := k.NewMemory(experiments.Seed)
 	refMachine := sim.New(prog, refMem)
-	if _, err := refMachine.Run(maxSteps); err != nil {
+	if _, err := refMachine.Run(experiments.MaxSteps); err != nil {
 		return fmt.Errorf("functional run: %w", err)
 	}
 	if err := k.Verify(refMem); err != nil {
 		return fmt.Errorf("functional verification: %w", err)
 	}
-	fmt.Printf("functional: %d instructions retired, output verified\n", refMachine.Stats.Retired)
+	fmt.Fprintf(w, "functional: %d instructions retired, output verified\n", refMachine.Stats.Retired)
 
 	// Observability: nil handles when the flags are unset (no overhead).
 	var rec *obs.Recorder
@@ -191,7 +231,7 @@ func run(name string, o options) error {
 	mc := cpu.DefaultMulticore()
 	mc.Cores = o.cores
 	baseHier := mem.MustHierarchy(mem.DefaultHierarchy())
-	single, err := cpu.TimeTraced(mc.Core, prog, k.NewMemory(experimentsSeed), baseHier, maxSteps, rec)
+	single, err := cpu.TimeTraced(mc.Core, prog, k.NewMemory(experiments.Seed), baseHier, experiments.MaxSteps, rec)
 	if err != nil {
 		return err
 	}
@@ -199,7 +239,7 @@ func run(name string, o options) error {
 		reg.Add("cpu.baseline", single.Metrics()...)
 		reg.Add("mem.baseline", baseHier.Metrics()...)
 	}
-	fmt.Printf("CPU 1-core: %.0f cycles (IPC %.2f, AMAT %.1f)\n", single.Cycles, single.IPC, single.AMAT)
+	fmt.Fprintf(w, "CPU 1-core: %.0f cycles (IPC %.2f, AMAT %.1f)\n", single.Cycles, single.IPC, single.AMAT)
 	baseline := single.Cycles
 	if k.Parallel && o.cores > 1 {
 		par, err := cpu.TimeParallel(mc, func(chunk, n int) (*cpu.Result, error) {
@@ -207,12 +247,12 @@ func run(name string, o options) error {
 			if err != nil {
 				return nil, fmt.Errorf("%s chunk %d/%d failed to assemble: %w", k.Name, chunk, n, err)
 			}
-			return cpu.Time(mc.Core, p, k.NewMemory(experimentsSeed), mem.MustHierarchy(mem.DefaultHierarchy()), maxSteps)
+			return cpu.Time(mc.Core, p, k.NewMemory(experiments.Seed), mem.MustHierarchy(mem.DefaultHierarchy()), experiments.MaxSteps)
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("CPU %d-core: %.0f cycles\n", o.cores, par.Cycles)
+		fmt.Fprintf(w, "CPU %d-core: %.0f cycles\n", o.cores, par.Cycles)
 		baseline = par.Cycles
 	}
 
@@ -230,9 +270,9 @@ func run(name string, o options) error {
 		opts.Detector.ParallelLoops = map[uint32]bool{loopStart: true}
 	}
 	ctl := core.NewController(opts)
-	accelMem := k.NewMemory(experimentsSeed)
+	accelMem := k.NewMemory(experiments.Seed)
 	hier := mem.MustHierarchy(mem.DefaultHierarchy())
-	report, accelMachine, err := ctl.Run(prog, accelMem, hier, maxSteps)
+	report, accelMachine, err := ctl.Run(prog, accelMem, hier, experiments.MaxSteps)
 	if err != nil {
 		return err
 	}
@@ -255,7 +295,7 @@ func run(name string, o options) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d events written to %s (load in https://ui.perfetto.dev)\n", rec.Len(), o.traceFile)
+		fmt.Fprintf(w, "trace: %d events written to %s (load in https://ui.perfetto.dev)\n", rec.Len(), o.traceFile)
 	}
 	if reg.Enabled() {
 		reg.Add("kernel",
@@ -276,11 +316,11 @@ func run(name string, o options) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("stats: metrics report written to %s\n", o.statsFile)
+		fmt.Fprintf(w, "stats: metrics report written to %s\n", o.statsFile)
 	}
 
 	if len(report.Regions) == 0 {
-		fmt.Printf("MESA %s: loop did not qualify (rejections: %v); ran on CPU, output verified\n",
+		fmt.Fprintf(w, "MESA %s: loop did not qualify (rejections: %v); ran on CPU, output verified\n",
 			be.Name, report.Rejections)
 		return nil
 	}
@@ -288,31 +328,26 @@ func run(name string, o options) error {
 	cpuPerIter := single.Cycles / float64(k.N)
 	prof := (float64(k.N) - float64(rr.Iterations)) * cpuPerIter
 	total := rr.TotalCycles() + prof
-	fmt.Printf("MESA %s: region of %d insts mapped (tiles=%d, bus fallbacks=%d)\n",
+	fmt.Fprintf(w, "MESA %s: region of %d insts mapped (tiles=%d, bus fallbacks=%d)\n",
 		be.Name, rr.Region.Len(), rr.Tiles, rr.Stats.BusFallbacks)
-	fmt.Printf("  config %d cycles (%s), reconfigurations %d\n",
+	fmt.Fprintf(w, "  config %d cycles (%s), reconfigurations %d\n",
 		rr.ConfigCost.Total(), rr.ConfigCost, rr.Reconfigs)
-	fmt.Printf("  %d iterations accelerated: avg %.1f cycles/iter, II %.3f (%s-bound)\n",
+	fmt.Fprintf(w, "  %d iterations accelerated: avg %.1f cycles/iter, II %.3f (%s-bound)\n",
 		rr.Iterations, rr.FinalAvgIter, rr.FinalII, rr.Bound)
-	fmt.Printf("  total %.0f cycles (accel %.0f + overhead %.0f + CPU profiling %.0f)\n",
+	fmt.Fprintf(w, "  total %.0f cycles (accel %.0f + overhead %.0f + CPU profiling %.0f)\n",
 		total, rr.AccelCycles, rr.OverheadCycles, prof)
-	fmt.Printf("  speedup vs %d-core CPU: %.2fx\n", o.cores, baseline/total)
+	fmt.Fprintf(w, "  speedup vs %d-core CPU: %.2fx\n", o.cores, baseline/total)
 	b := energy.AccelEnergy(be, rr.Activity)
-	fmt.Printf("  accelerator energy: %.0f nJ (compute %.0f, memory %.0f, NoC %.0f, control %.0f, leakage %.0f)\n",
+	fmt.Fprintf(w, "  accelerator energy: %.0f nJ (compute %.0f, memory %.0f, NoC %.0f, control %.0f, leakage %.0f)\n",
 		b.TotalNJ(), b.ComputeNJ, b.MemoryNJ, b.NoCNJ, b.ControlNJ, b.LeakageNJ)
-	fmt.Println("  memory state identical to functional reference ✓")
+	fmt.Fprintln(w, "  memory state identical to functional reference ✓")
 	if o.explain {
 		for i, region := range report.Regions {
 			if region.Attrib == nil {
 				continue
 			}
-			fmt.Printf("\nregion %d @%#x:\n%s", i, region.Region.Start, region.Attrib.Render())
+			fmt.Fprintf(w, "\nregion %d @%#x:\n%s", i, region.Region.Start, region.Attrib.Render())
 		}
 	}
 	return nil
 }
-
-const (
-	experimentsSeed = 42
-	maxSteps        = 50_000_000
-)

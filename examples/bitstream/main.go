@@ -27,16 +27,11 @@ func main() {
 		log.Fatal(err)
 	}
 	prog, loopStart := k.MustProgram()
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
+	body := prog.LoopBody(loopStart)
 	be := accel.M128()
 
 	// First encounter: translate and map (tasks T1 + T2).
-	ldfg, err := core.BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+	ldfg, err := core.BuildLDFG(body, be.EstimateLat)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine.PC = end
+	machine.PC = loopStart + uint32(4*len(body))
 	if _, err := machine.Run(1_000_000); err != nil {
 		log.Fatal(err)
 	}

@@ -59,12 +59,6 @@ func main() {
 		log.Fatal(err)
 	}
 	prog, loopStart := k.MustProgram()
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
 
 	interconnects := []noc.Interconnect{
 		noc.DefaultHalfRing(),
@@ -78,7 +72,7 @@ func main() {
 		be := accel.M128()
 		be.Interconnect = ic
 
-		ldfg, err := core.BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+		ldfg, err := core.BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,17 +28,12 @@ func main() {
 		log.Fatal(err)
 	}
 	prog, loopStart := k.MustProgram()
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
+	body := prog.LoopBody(loopStart)
 	be := accel.M128()
 
 	// T1: build the LDFG with *estimated* node weights (constant op
 	// latencies, optimistic L1-hit memory latency).
-	ldfg, err := core.BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+	ldfg, err := core.BuildLDFG(body, be.EstimateLat)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -121,7 +116,7 @@ func main() {
 			break
 		}
 	}
-	machine.PC = end
+	machine.PC = loopStart + uint32(4*len(body))
 	if _, err := machine.Run(1_000_000); err != nil {
 		log.Fatal(err)
 	}

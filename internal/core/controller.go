@@ -17,6 +17,30 @@ import (
 // estimate is available.
 const defaultPlanningHorizon = 4096.0
 
+// Fixed-function controller parameters (design constants of the hardware
+// block, not tuning knobs).
+const (
+	// improveThreshold is the fractional predicted-latency improvement a
+	// new mapping must offer before MESA pays for reconfiguration.
+	improveThreshold = 0.03
+
+	// maxTiles bounds the spatial duplication of a parallel loop.
+	maxTiles = 64
+
+	// minEstimatedIterations rejects regions whose C3 trip-count estimate
+	// predicts too few remaining iterations to amortize configuration
+	// (the paper finds 50–100 iterations are needed; the bound is
+	// conservative so short-but-repeated loops still qualify and hit the
+	// configuration cache on re-entry).
+	minEstimatedIterations = 8
+
+	// configCacheSize is the number of loop configurations kept for reuse.
+	configCacheSize = 8
+
+	// maxLoopIterations is a safety bound per accelerated region.
+	maxLoopIterations = 50_000_000
+)
+
 // Options configures a MESA Controller.
 type Options struct {
 	Backend  *accel.Config
@@ -28,9 +52,8 @@ type Options struct {
 	Mapper mapping.Strategy
 
 	// MapperOpts tunes Algorithm 1's hardware parameters; every strategy
-	// receives them (refinement strategies also read the extra fields —
-	// Seed, RefineSteps — while the controller fills Tiles and Attrib
-	// per call).
+	// receives them (the controller fills Tiles, Attrib and Sticky per
+	// call).
 	MapperOpts MapperOptions
 
 	// OptimizeBatch is the number of accelerated iterations executed
@@ -40,29 +63,11 @@ type Options struct {
 	// MaxOptimizeRounds bounds iterative remapping attempts per region.
 	MaxOptimizeRounds int
 
-	// ImproveThreshold is the fractional predicted-latency improvement a
-	// new mapping must offer before MESA pays for reconfiguration.
-	ImproveThreshold float64
-
 	// EnableTiling duplicates the SDFG across the grid for loops annotated
 	// as parallel (Figure 6). EnablePipelining overlaps iterations of
 	// parallel loops at the initiation interval.
 	EnableTiling     bool
 	EnablePipelining bool
-	MaxTiles         int
-
-	// MinEstimatedIterations rejects regions whose C3 trip-count estimate
-	// predicts too few remaining iterations to amortize configuration
-	// (the paper finds 50–100 iterations are needed; the default is
-	// conservative so short-but-repeated loops still qualify and hit the
-	// configuration cache on re-entry).
-	MinEstimatedIterations int
-
-	// ConfigCacheSize is the number of loop configurations kept for reuse.
-	ConfigCacheSize int
-
-	// MaxLoopIterations is a safety bound per accelerated region.
-	MaxLoopIterations uint64
 
 	// Recorder receives the unified trace: CPU retirements, controller FSM
 	// phase changes, and accelerator events. nil (the default) disables
@@ -75,19 +80,14 @@ func DefaultOptions(backend *accel.Config) Options {
 	det := DefaultDetectorConfig(backend.MaxInstructions())
 	det.SupportsFP = backend.FPSlice > 0
 	return Options{
-		Backend:                backend,
-		Detector:               det,
-		Mapper:                 mapping.Default(),
-		MapperOpts:             DefaultMapperOptions(),
-		OptimizeBatch:          32,
-		MaxOptimizeRounds:      3,
-		ImproveThreshold:       0.03,
-		EnableTiling:           true,
-		EnablePipelining:       true,
-		MaxTiles:               64,
-		MinEstimatedIterations: 8,
-		ConfigCacheSize:        8,
-		MaxLoopIterations:      50_000_000,
+		Backend:           backend,
+		Detector:          det,
+		Mapper:            mapping.Default(),
+		MapperOpts:        DefaultMapperOptions(),
+		OptimizeBatch:     32,
+		MaxOptimizeRounds: 3,
+		EnableTiling:      true,
+		EnablePipelining:  true,
 	}
 }
 
@@ -186,21 +186,15 @@ func NewController(opts Options) *Controller {
 			opts.Detector.MaxInsts *= ts
 		}
 	}
-	if opts.MaxTiles == 0 {
-		opts.MaxTiles = 64
-	}
 	if opts.OptimizeBatch == 0 {
 		opts.OptimizeBatch = 32
-	}
-	if opts.MaxLoopIterations == 0 {
-		opts.MaxLoopIterations = 50_000_000
 	}
 	if opts.Mapper == nil {
 		opts.Mapper = mapping.Default()
 	}
 	return &Controller{
 		opts:  opts,
-		cache: NewConfigCache(opts.ConfigCacheSize),
+		cache: NewConfigCache(configCacheSize),
 		rec:   opts.Recorder,
 	}
 }
@@ -367,9 +361,9 @@ func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumReg
 	horizon := float64(defaultPlanningHorizon)
 	est, estOK := EstimateTripCount(ldfg, regs)
 	if estOK {
-		if est < uint64(c.opts.MinEstimatedIterations) {
+		if est < minEstimatedIterations {
 			return nil, fmt.Errorf("core: estimated %d remaining iterations, below profitability threshold %d",
-				est, c.opts.MinEstimatedIterations)
+				est, minEstimatedIterations)
 		}
 		horizon = float64(est)
 	}
@@ -398,7 +392,7 @@ func (c *Controller) chooseTiles(region *Region, ldfg *LDFG, stats *MapStats, ho
 		return 1
 	}
 	be := c.opts.Backend
-	tiles := c.opts.MaxTiles
+	tiles := maxTiles
 	if stats.PEPlacements > 0 {
 		if byPE := be.NumPEs() / stats.PEPlacements; byPE < tiles {
 			tiles = byPE
@@ -468,7 +462,7 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 	offloadStart := c.now
 	engine.AttachRecorder(c.rec, c.now)
 
-	remaining := c.opts.MaxLoopIterations
+	remaining := uint64(maxLoopIterations)
 	round := 0
 	// Revert-on-regression state: after adopting a new mapping, the next
 	// counter window verifies the model's prediction against reality and
@@ -574,13 +568,13 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 				// For pipelined/tiled loops throughput (the initiation
 				// interval) is the objective; iteration latency decides
 				// serialized loops.
-				better := predicted < current*(1-c.opts.ImproveThreshold)
+				better := predicted < current*(1-improveThreshold)
 				if pipelined || cr.tiles > 1 {
 					// Throughput-bound execution: only a genuinely lower
 					// initiation interval justifies paying for
 					// reconfiguration.
 					newII := newSDFG.PredictedII(cr.tiles)
-					better = newII < currentII*(1-c.opts.ImproveThreshold)
+					better = newII < currentII*(1-improveThreshold)
 				}
 				if better && newSDFG.DiffersFrom(cr.sdfg) {
 					prevSDFG, prevStats, prevAvg = cr.sdfg, cr.stats, res.AvgIterCycles

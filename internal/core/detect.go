@@ -45,6 +45,10 @@ func (m RegionMix) MemFrac() float64 {
 	return 0
 }
 
+// maxMemFrac rejects regions whose memory fraction exceeds this bound
+// (C3 instruction-mix check).
+const maxMemFrac = 0.75
+
 // DetectorConfig parameterizes region detection (§4.1).
 type DetectorConfig struct {
 	// MaxInsts is the trace-cache capacity: criterion C1 rejects loops
@@ -61,10 +65,6 @@ type DetectorConfig struct {
 	// proceeding without evidence of reuse is unwise).
 	MinIterations int
 
-	// MaxMemFrac rejects regions whose memory fraction exceeds this bound
-	// (C3 instruction-mix check).
-	MaxMemFrac float64
-
 	// SupportsFP reports whether the target backend has FP-capable PEs
 	// (C2 rejects FP instructions otherwise).
 	SupportsFP bool
@@ -80,7 +80,6 @@ func DefaultDetectorConfig(maxInsts int) DetectorConfig {
 		MaxInsts:         maxInsts,
 		StableIterations: 3,
 		MinIterations:    3,
-		MaxMemFrac:       0.75,
 		SupportsFP:       true,
 	}
 }
@@ -261,7 +260,7 @@ func (d *Detector) Observe(ev sim.Event) *Region {
 		d.reject(start, reason)
 		return nil
 	}
-	if mix.MemFrac() > d.cfg.MaxMemFrac {
+	if mix.MemFrac() > maxMemFrac {
 		d.reject(start, RejectMemHeavy)
 		return nil
 	}

@@ -15,8 +15,8 @@ func (o *Options) Fingerprint(w io.Writer) {
 	io.WriteString(w, "core|")
 	o.Backend.Fingerprint(w)
 	d := &o.Detector
-	fmt.Fprintf(w, "|det|%d|%d|%d|%g|%t|",
-		d.MaxInsts, d.StableIterations, d.MinIterations, d.MaxMemFrac, d.SupportsFP)
+	fmt.Fprintf(w, "|det|%d|%d|%d|%t|",
+		d.MaxInsts, d.StableIterations, d.MinIterations, d.SupportsFP)
 	addrs := make([]uint32, 0, len(d.ParallelLoops))
 	for a, ok := range d.ParallelLoops {
 		if ok {
@@ -38,11 +38,8 @@ func (o *Options) Fingerprint(w io.Writer) {
 		name = o.Mapper.Name()
 	}
 	m := &o.MapperOpts
-	fmt.Fprintf(w, "map|%s|%d|%d|%t|%t|%d|%d|%d|%d|",
-		name, m.WindowRows, m.WindowCols, m.FullSearchFallback, m.DisableTieBreak,
-		m.TimeShare, m.Tiles, m.Seed, m.RefineSteps)
-	fmt.Fprintf(w, "%d|%d|%g|%t|%t|%d|%d|%d|%d",
-		o.OptimizeBatch, o.MaxOptimizeRounds, o.ImproveThreshold,
-		o.EnableTiling, o.EnablePipelining, o.MaxTiles,
-		o.MinEstimatedIterations, o.ConfigCacheSize, o.MaxLoopIterations)
+	fmt.Fprintf(w, "map|%s|%d|%d|%t|%d|%d|",
+		name, m.WindowRows, m.WindowCols, m.DisableTieBreak, m.TimeShare, m.Tiles)
+	fmt.Fprintf(w, "%d|%d|%t|%t",
+		o.OptimizeBatch, o.MaxOptimizeRounds, o.EnableTiling, o.EnablePipelining)
 }

@@ -46,29 +46,6 @@ func TestFingerprintDistinguishesStrategies(t *testing.T) {
 	}
 }
 
-// TestFingerprintKeysRefinementKnobs: the annealing budget and seed are
-// timing-relevant under greedy+anneal and must perturb the key.
-func TestFingerprintKeysRefinementKnobs(t *testing.T) {
-	o := DefaultOptions(accel.M128())
-	anneal, err := mapping.ByName("greedy+anneal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Mapper = anneal
-	base := fingerprintOf(t, &o)
-
-	seeded := o
-	seeded.MapperOpts.Seed = 7
-	if fingerprintOf(t, &seeded) == base {
-		t.Error("MapperOpts.Seed does not perturb the fingerprint")
-	}
-	steps := o
-	steps.MapperOpts.RefineSteps = 50
-	if fingerprintOf(t, &steps) == base {
-		t.Error("MapperOpts.RefineSteps does not perturb the fingerprint")
-	}
-}
-
 // TestFingerprintDistinguishesEveryOption: every semantics-bearing Options
 // field must perturb the fingerprint — a collision would let the memo cache
 // serve one configuration's result for another.
@@ -85,27 +62,18 @@ func TestFingerprintDistinguishesEveryOption(t *testing.T) {
 		{"Detector.MaxInsts", func(o *Options) { o.Detector.MaxInsts++ }},
 		{"Detector.StableIterations", func(o *Options) { o.Detector.StableIterations++ }},
 		{"Detector.MinIterations", func(o *Options) { o.Detector.MinIterations++ }},
-		{"Detector.MaxMemFrac", func(o *Options) { o.Detector.MaxMemFrac += 0.125 }},
 		{"Detector.SupportsFP", func(o *Options) { o.Detector.SupportsFP = !o.Detector.SupportsFP }},
 		{"Detector.ParallelLoops", func(o *Options) { o.Detector.ParallelLoops = map[uint32]bool{0x1000: true} }},
 		{"Mapper", func(o *Options) { o.Mapper = congestion }},
 		{"MapperOpts.WindowRows", func(o *Options) { o.MapperOpts.WindowRows++ }},
 		{"MapperOpts.WindowCols", func(o *Options) { o.MapperOpts.WindowCols++ }},
-		{"MapperOpts.FullSearchFallback", func(o *Options) { o.MapperOpts.FullSearchFallback = !o.MapperOpts.FullSearchFallback }},
 		{"MapperOpts.DisableTieBreak", func(o *Options) { o.MapperOpts.DisableTieBreak = !o.MapperOpts.DisableTieBreak }},
 		{"MapperOpts.TimeShare", func(o *Options) { o.MapperOpts.TimeShare = 4 }},
 		{"MapperOpts.Tiles", func(o *Options) { o.MapperOpts.Tiles = 2 }},
-		{"MapperOpts.Seed", func(o *Options) { o.MapperOpts.Seed = 7 }},
-		{"MapperOpts.RefineSteps", func(o *Options) { o.MapperOpts.RefineSteps = 50 }},
 		{"OptimizeBatch", func(o *Options) { o.OptimizeBatch++ }},
 		{"MaxOptimizeRounds", func(o *Options) { o.MaxOptimizeRounds++ }},
-		{"ImproveThreshold", func(o *Options) { o.ImproveThreshold += 0.125 }},
 		{"EnableTiling", func(o *Options) { o.EnableTiling = !o.EnableTiling }},
 		{"EnablePipelining", func(o *Options) { o.EnablePipelining = !o.EnablePipelining }},
-		{"MaxTiles", func(o *Options) { o.MaxTiles++ }},
-		{"MinEstimatedIterations", func(o *Options) { o.MinEstimatedIterations++ }},
-		{"ConfigCacheSize", func(o *Options) { o.ConfigCacheSize++ }},
-		{"MaxLoopIterations", func(o *Options) { o.MaxLoopIterations++ }},
 	}
 
 	prints := map[string]string{"base": fingerprintOf(t, &Options{Backend: accel.M128()})}

@@ -14,13 +14,7 @@ func TestImapFSMMatchesCostFormula(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			prog, loopStart := k.MustProgram()
-			var end uint32
-			for _, in := range prog.Insts {
-				if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-					end = in.Addr + 4
-				}
-			}
-			l, err := BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+			l, err := BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,13 +54,7 @@ func TestImapFSMTimingDiagram(t *testing.T) {
 	}
 	be := accel.M128()
 	prog, loopStart := k.MustProgram()
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
-	l, err := BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+	l, err := BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
 	if err != nil {
 		t.Fatal(err)
 	}

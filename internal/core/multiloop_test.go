@@ -118,7 +118,8 @@ skip:
 // way that breaks execution (the region is rejected for having no valid
 // exit path: the closing jump never falls through, so execution would never
 // return — the detector accepts it, but the accelerated loop is bounded by
-// MaxLoopIterations). This test uses a conditional exit to stay realistic.
+// the per-region iteration safety bound). This test uses a conditional exit
+// to stay realistic.
 func TestControllerLoopWithEarlyBoundUpdate(t *testing.T) {
 	// The loop bound lives in a register the loop itself updates: the
 	// branch compares against a moving target, exercising live-out

@@ -123,7 +123,6 @@ loop:
 	opts := DefaultOptions(accel.M128())
 	opts.Detector.StableIterations = 2
 	opts.Detector.MinIterations = 2
-	opts.MinEstimatedIterations = 8
 	ctl := NewController(opts)
 	report, _, err := ctl.Run(prog, mem.NewMemory(), mem.MustHierarchy(mem.DefaultHierarchy()), 1_000_000)
 	if err != nil {

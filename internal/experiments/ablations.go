@@ -26,13 +26,7 @@ func regionFor(k *kernels.Kernel) ([]isa.Inst, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
-	return prog.Slice(loopStart, end), nil
+	return prog.LoopBody(loopStart), nil
 }
 
 // mapOutcome is one kernel's mapping result inside an ablation sweep.

@@ -120,14 +120,8 @@ func dynaSpamCycles(k *kernels.Kernel, cpuPerIter float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
 	be := accel.M64()
-	l, err := core.BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+	l, err := core.BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
 	if err != nil {
 		return 0, err
 	}

@@ -52,13 +52,7 @@ func Figure16() (*Figure16Result, error) {
 	be := accel.M128()
 
 	// Build the mapped region directly so iteration counts can be swept.
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
-	l, err := core.BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+	l, err := core.BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
 	if err != nil {
 		return nil, err
 	}

@@ -40,24 +40,17 @@ import (
 // existing consumer only reads the returned structs; publication via the
 // entry's done channel provides the happens-before edge.
 //
-// An optional on-disk content-addressed store (SetSimMemoDir) persists
-// entries whose kind registered a codec, so warm results survive process
-// restarts and are shared between mesabench and mesad. Disk entries are
-// keyed by the same sha256 fingerprint as in-memory ones.
+// The cache is memory-only: a process starts cold. mesad persists its
+// byte-exact response bodies in its own DiskStore (see internal/server).
 type memoCache struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element // key -> element whose Value is *memoEntry
 	lru     *list.List               // front = most recently used
 	cap     int                      // max completed entries; 0 = unbounded
 
-	store *DiskStore
-
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-	diskHits   uint64
-	diskWrites uint64
-	diskErrors uint64
+	hits      uint64
+	misses    uint64
+	evictions uint64
 }
 
 type memoEntry struct {
@@ -117,40 +110,19 @@ func SimMemoCapacity() int {
 	return simMemo.cap
 }
 
-// SetSimMemoDir attaches an on-disk content-addressed store rooted at dir to
-// the cache (creating the directory if needed), so results of disk-codable
-// entry points persist across processes. An empty dir detaches the store.
-func SetSimMemoDir(dir string) error {
-	var st *DiskStore
-	if dir != "" {
-		var err error
-		st, err = OpenDiskStore(dir)
-		if err != nil {
-			return err
-		}
-	}
-	simMemo.mu.Lock()
-	simMemo.store = st
-	simMemo.mu.Unlock()
-	return nil
-}
-
-// ResetSimMemo drops all cached in-memory results and zeroes every counter
-// (tests, and cold/warm differential comparisons). The on-disk store, if
-// attached, is left untouched.
+// ResetSimMemo drops all cached results and zeroes every counter (tests,
+// and cold/warm differential comparisons).
 func ResetSimMemo() {
 	simMemo.mu.Lock()
 	simMemo.entries = map[string]*list.Element{}
 	simMemo.lru = list.New()
 	simMemo.hits, simMemo.misses = 0, 0
 	simMemo.evictions = 0
-	simMemo.diskHits, simMemo.diskWrites, simMemo.diskErrors = 0, 0, 0
 	simMemo.mu.Unlock()
 }
 
 // SimMemoMetrics snapshots the cache-effectiveness counters for `-stats`.
-// sim_cache_hits / sim_cache_misses / sim_cache_disk_* are worker-count-
-// invariant as long as nothing is evicted (single-flight makes misses =
+// sim_cache_hits / sim_cache_misses are worker-count-invariant as long as nothing is evicted (single-flight makes misses =
 // distinct keys). sim_cache_entries and sim_cache_evictions are NOT: once
 // the LRU is bounded below the working set, which key evicts which depends
 // on request scheduling. Byte-identical stats comparisons must exclude the
@@ -163,9 +135,6 @@ func SimMemoMetrics() []obs.Metric {
 		obs.Count("sim_cache_misses", simMemo.misses),
 		obs.Count("sim_cache_entries", uint64(simMemo.lru.Len())),
 		obs.Count("sim_cache_evictions", simMemo.evictions),
-		obs.Count("sim_cache_disk_hits", simMemo.diskHits),
-		obs.Count("sim_cache_disk_writes", simMemo.diskWrites),
-		obs.Count("sim_cache_disk_errors", simMemo.diskErrors),
 	}
 }
 
@@ -211,12 +180,7 @@ func (c *memoCache) removeLocked(key string) {
 // evicted before the panic propagates, so a transient panic never becomes a
 // permanently cached failure (waiters already joined to the flight still
 // receive an error naming the panic).
-//
-// When codec is non-nil and a disk store is attached, a miss first consults
-// the store (a disk hit skips the simulation), and a freshly computed value
-// is persisted best-effort (IO failures count in sim_cache_disk_errors and
-// never fail the simulation).
-func (c *memoCache) do(key string, codec *memoCodec, f func() (any, error)) (any, error) {
+func (c *memoCache) do(key string, f func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -231,41 +195,7 @@ func (c *memoCache) do(key string, codec *memoCodec, f func() (any, error)) (any
 	ent := &memoEntry{key: key, done: make(chan struct{}), inflight: true}
 	c.entries[key] = c.lru.PushFront(ent)
 	c.misses++
-	store := c.store
 	c.mu.Unlock()
-
-	finish := func(diskHit bool) {
-		c.mu.Lock()
-		ent.inflight = false
-		// Completion counts as a use: a just-finished simulation must not be
-		// the first thing a concurrent overflow evicts.
-		if e, ok := c.entries[key]; ok {
-			c.lru.MoveToFront(e)
-		}
-		if diskHit {
-			c.diskHits++
-		}
-		c.evictOverLocked()
-		c.mu.Unlock()
-	}
-
-	if codec != nil && store != nil {
-		t0 := time.Now()
-		if data, ok, err := store.Get(key); err != nil {
-			c.countDiskError()
-		} else if ok {
-			if v, err := codec.decode(data); err != nil {
-				// A corrupt blob is dropped and recomputed below.
-				c.countDiskError()
-			} else {
-				ent.val = v
-				close(ent.done)
-				finish(true)
-				observeSince(simHitWaitSeconds, t0)
-				return ent.val, ent.err
-			}
-		}
-	}
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -285,29 +215,16 @@ func (c *memoCache) do(key string, codec *memoCodec, f func() (any, error)) (any
 	ent.val, ent.err = f()
 	observeSince(simRunSeconds, t0)
 	close(ent.done)
-	if ent.err == nil && codec != nil && store != nil {
-		if data, err := codec.encode(ent.val); err != nil {
-			c.countDiskError()
-		} else if err := store.Put(key, data); err != nil {
-			c.countDiskError()
-		} else {
-			c.countDiskWrite()
-		}
+	c.mu.Lock()
+	ent.inflight = false
+	// Completion counts as a use: a just-finished simulation must not be
+	// the first thing a concurrent overflow evicts.
+	if e, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(e)
 	}
-	finish(false)
+	c.evictOverLocked()
+	c.mu.Unlock()
 	return ent.val, ent.err
-}
-
-func (c *memoCache) countDiskError() {
-	c.mu.Lock()
-	c.diskErrors++
-	c.mu.Unlock()
-}
-
-func (c *memoCache) countDiskWrite() {
-	c.mu.Lock()
-	c.diskWrites++
-	c.mu.Unlock()
 }
 
 // memoDo wraps a simulation in the cache. kind namespaces the entry point
@@ -323,7 +240,7 @@ func memoDo(kind string, k *kernels.Kernel, fill func(io.Writer), f func() (any,
 	if err != nil {
 		return f()
 	}
-	return simMemo.do(key, diskCodec(kind), f)
+	return simMemo.do(key, f)
 }
 
 // memoDoProgram is memoDo for raw programs that have no kernel identity:
@@ -339,7 +256,7 @@ func memoDoProgram(kind string, prog *isa.Program, fill func(io.Writer), f func(
 		fmt.Fprintf(h, "|seed%d|steps%d|", Seed, MaxSteps)
 		fill(h)
 	})
-	return simMemo.do(key, diskCodec(kind), f)
+	return simMemo.do(key, f)
 }
 
 // memoKey builds the content-hash key: entry-point kind, kernel identity
@@ -363,9 +280,8 @@ func memoKey(kind string, k *kernels.Kernel, fill func(io.Writer)) (string, erro
 // memoKeyFromFill is the single construction point for memo keys: a sha256
 // content hash over the entry-point kind and a caller-written fingerprint.
 // memoKey and memoDoProgram both build their keys through it, so their
-// layouts can never drift apart; the unit
-// test pins the byte layout so keys (and the disk store entries they
-// address) stay stable across refactors.
+// layouts can never drift apart; the unit test pins the byte layout so keys
+// stay stable across refactors.
 func memoKeyFromFill(kind string, fill func(io.Writer)) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|", kind)

@@ -6,9 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mesa/internal/cpu"
-	"mesa/internal/kernels"
 )
 
 func memoMetric(t *testing.T, name string) float64 {
@@ -44,7 +41,7 @@ func TestSimMemoPanicRetry(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-joined
-		_, waitErr = c.do(key, nil, func() (any, error) {
+		_, waitErr = c.do(key, func() (any, error) {
 			t.Error("waiter ran the function: single-flight broken")
 			return nil, nil
 		})
@@ -56,7 +53,7 @@ func TestSimMemoPanicRetry(t *testing.T) {
 				t.Fatal("panic did not propagate to the panicking caller")
 			}
 		}()
-		c.do(key, nil, func() (any, error) {
+		c.do(key, func() (any, error) {
 			close(joined)
 			for memoMetric(t, "sim_cache_hits") < 1 {
 				time.Sleep(time.Millisecond)
@@ -72,14 +69,14 @@ func TestSimMemoPanicRetry(t *testing.T) {
 	// The poisoned entry must be gone: a retry runs the function again and
 	// its success is cached normally.
 	ran := 0
-	v, err := c.do(key, nil, func() (any, error) { ran++; return "ok", nil })
+	v, err := c.do(key, func() (any, error) { ran++; return "ok", nil })
 	if err != nil || v != "ok" {
 		t.Fatalf("retry after panic: v=%v err=%v, want ok/nil (cached panic error not evicted)", v, err)
 	}
 	if ran != 1 {
 		t.Fatalf("retry ran %d times, want 1", ran)
 	}
-	if v, err := c.do(key, nil, func() (any, error) { ran++; return "again", nil }); err != nil || v != "ok" {
+	if v, err := c.do(key, func() (any, error) { ran++; return "again", nil }); err != nil || v != "ok" {
 		t.Fatalf("post-retry lookup: v=%v err=%v, want cached ok", v, err)
 	}
 	if ran != 1 {
@@ -97,7 +94,7 @@ func TestSimMemoErrorStaysCached(t *testing.T) {
 	ran := 0
 	fail := errors.New("bad config")
 	for i := 0; i < 3; i++ {
-		if _, err := simMemo.do(key, nil, func() (any, error) { ran++; return nil, fail }); err != fail {
+		if _, err := simMemo.do(key, func() (any, error) { ran++; return nil, fail }); err != fail {
 			t.Fatalf("lookup %d: err=%v, want the cached error", i, err)
 		}
 	}
@@ -123,7 +120,7 @@ func TestSimMemoLRUBound(t *testing.T) {
 	runs := map[int]int{}
 	get := func(i int) {
 		t.Helper()
-		v, err := simMemo.do(key(i), nil, func() (any, error) { runs[i]++; return i, nil })
+		v, err := simMemo.do(key(i), func() (any, error) { runs[i]++; return i, nil })
 		if err != nil || v != i {
 			t.Fatalf("key %d: v=%v err=%v", i, v, err)
 		}
@@ -180,7 +177,7 @@ func TestSimMemoInflightPinned(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		simMemo.do(fmt.Sprintf("%064x", 100), nil, func() (any, error) {
+		simMemo.do(fmt.Sprintf("%064x", 100), func() (any, error) {
 			close(started)
 			<-release
 			return "slow", nil
@@ -189,7 +186,7 @@ func TestSimMemoInflightPinned(t *testing.T) {
 	<-started
 	// Overflow the capacity while the slow flight runs.
 	for i := 0; i < 3; i++ {
-		if _, err := simMemo.do(fmt.Sprintf("%064x", 200+i), nil, func() (any, error) { return i, nil }); err != nil {
+		if _, err := simMemo.do(fmt.Sprintf("%064x", 200+i), func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,80 +195,8 @@ func TestSimMemoInflightPinned(t *testing.T) {
 	// The slow entry must still resolve from cache (it was pinned, and on
 	// completion it becomes the most recent entry).
 	ran := false
-	v, err := simMemo.do(fmt.Sprintf("%064x", 100), nil, func() (any, error) { ran = true; return "rerun", nil })
+	v, err := simMemo.do(fmt.Sprintf("%064x", 100), func() (any, error) { ran = true; return "rerun", nil })
 	if err != nil || v != "slow" || ran {
 		t.Fatalf("pinned in-flight entry was evicted: v=%v ran=%v", v, ran)
-	}
-}
-
-// TestSimMemoDiskWarm: with a disk store attached, CPU-timing results
-// persist across a full in-memory reset (the process-restart story) and the
-// warm-from-disk result is identical to the cold one.
-func TestSimMemoDiskWarm(t *testing.T) {
-	ResetSimMemo()
-	dir := t.TempDir()
-	if err := SetSimMemoDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		SetSimMemoDir("")
-		ResetSimMemo()
-	}()
-
-	k, err := kernels.ByName("nn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := TimeSingleCore(k, cpu.DefaultBOOM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := memoMetric(t, "sim_cache_disk_writes"); n != 1 {
-		t.Fatalf("disk writes = %v, want 1", n)
-	}
-
-	ResetSimMemo() // "restart": in-memory cache gone, disk store remains
-	warm, err := TimeSingleCore(k, cpu.DefaultBOOM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := memoMetric(t, "sim_cache_disk_hits"); n != 1 {
-		t.Fatalf("disk hits = %v, want 1 (result not served from disk)", n)
-	}
-	if warm == cold {
-		t.Fatal("warm result is the same pointer: did not round-trip through disk")
-	}
-	if *warm.Result != *cold.Result || warm.Cycles != cold.Cycles ||
-		warm.EnergyNJ != cold.EnergyNJ || warm.Cores != cold.Cores {
-		t.Fatalf("disk round-trip changed the result:\ncold: %+v / %+v\nwarm: %+v / %+v",
-			cold, cold.Result, warm, warm.Result)
-	}
-
-	// Third lookup: served from memory (the disk hit was installed in the
-	// LRU), no second disk hit.
-	again, err := TimeSingleCore(k, cpu.DefaultBOOM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != warm {
-		t.Fatal("second warm lookup did not hit the in-memory entry")
-	}
-	if n := memoMetric(t, "sim_cache_disk_hits"); n != 1 {
-		t.Fatalf("disk hits = %v after memory hit, want still 1", n)
-	}
-}
-
-// TestSimMemoDiskIgnoresMESAKind: controller reports carry live graph state
-// no serializer round-trips, so the "mesa" kind must stay memory-only even
-// with a store attached.
-func TestSimMemoDiskIgnoresMESAKind(t *testing.T) {
-	if diskCodec("mesa") != nil {
-		t.Fatal("mesa kind has a disk codec; *core.Report is not disk-codable")
-	}
-	if diskCodec("raw.mesa") != nil {
-		t.Fatal("raw.mesa kind has a disk codec; *core.Report is not disk-codable")
-	}
-	if diskCodec("cpu1") == nil || diskCodec("cpuN") == nil || diskCodec("raw.cpu1") == nil {
-		t.Fatal("CPU-timing kinds must be disk-codable")
 	}
 }

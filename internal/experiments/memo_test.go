@@ -225,10 +225,9 @@ func TestSimMemoKeyedByConfig(t *testing.T) {
 	}
 }
 
-// TestMemoKeyFromFillStability pins the memo key construction byte-for-byte.
-// Keys address the on-disk result store, so an accidental layout change
-// would silently orphan every persisted entry: the literal hash below must
-// only ever change deliberately.
+// TestMemoKeyFromFillStability pins the memo key construction byte-for-byte:
+// the literal hash below must only ever change deliberately, so a refactor
+// of the key builders cannot silently change what a key hashes.
 func TestMemoKeyFromFillStability(t *testing.T) {
 	got := memoKeyFromFill("kindA", func(h io.Writer) { io.WriteString(h, "payload") })
 	const want = "94fd61c46be242c6b82760b8af8d7a781f40995c72cbbeeb782e15f054a40901"

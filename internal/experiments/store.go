@@ -1,24 +1,20 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"mesa/internal/cpu"
 )
 
 // DiskStore is a content-addressed blob store: values are filed under their
 // sha256-hex key in a two-level fan-out (dir/ab/abcdef…), written atomically
 // (temp file + rename) so concurrent processes sharing one directory never
-// observe a torn blob. It backs the simulation-result cache across process
-// restarts (SetSimMemoDir) and mesad's response cache.
+// observe a torn blob. It is mesad's response store: encoded response
+// bodies survive process restarts (see internal/server).
 //
-// The store is deliberately append-only from the cache's point of view:
-// entries are immutable (the key is a content hash of everything that
-// determines the value), so there is nothing to invalidate — stale results
-// are impossible, only missing ones.
+// The store is deliberately append-only: entries are immutable (the key is
+// a content hash of everything that determines the value), so there is
+// nothing to invalidate — stale results are impossible, only missing ones.
 type DiskStore struct {
 	dir string
 }
@@ -110,56 +106,4 @@ func (s *DiskStore) Len() (int, error) {
 		return nil
 	})
 	return n, err
-}
-
-// memoCodec (de)serializes one entry-point kind's cached value for the disk
-// store. Only plain-data results are disk-codable: a *core.Report carries
-// live graph state (measured per-edge latency maps, SDFG occupancy) whose
-// unexported fields no serializer round-trips, so MESA controller runs stay
-// memory-only — mesad instead persists its byte-exact response encodings in
-// the same store (see internal/server).
-type memoCodec struct {
-	encode func(any) ([]byte, error)
-	decode func([]byte) (any, error)
-}
-
-// cpuRunCodec round-trips *CPURun via JSON: every field (including the
-// nested *cpu.Result) is exported plain data, and encoding/json prints
-// float64s in their shortest round-trip form, so decode(encode(v)) is
-// bit-identical to v — the property the warm-vs-cold differential test
-// enforces end to end.
-var cpuRunCodec = &memoCodec{
-	encode: func(v any) ([]byte, error) { return json.Marshal(v.(*CPURun)) },
-	decode: func(data []byte) (any, error) {
-		r := new(CPURun)
-		if err := json.Unmarshal(data, r); err != nil {
-			return nil, err
-		}
-		return r, nil
-	},
-}
-
-// cpuResultCodec round-trips the raw-program CPU baseline (*cpu.Result).
-var cpuResultCodec = &memoCodec{
-	encode: func(v any) ([]byte, error) { return json.Marshal(v.(*cpu.Result)) },
-	decode: func(data []byte) (any, error) {
-		r := new(cpu.Result)
-		if err := json.Unmarshal(data, r); err != nil {
-			return nil, err
-		}
-		return r, nil
-	},
-}
-
-// diskCodec returns the serializer for an entry-point kind, or nil when the
-// kind's values are memory-only.
-func diskCodec(kind string) *memoCodec {
-	switch kind {
-	case "cpu1", "cpuN":
-		return cpuRunCodec
-	case "raw.cpu1":
-		return cpuResultCodec
-	default:
-		return nil
-	}
 }

@@ -181,3 +181,15 @@ func (p *Program) Slice(start, end uint32) []Inst {
 	}
 	return p.Insts[(start-p.Base)/4 : (end-p.Base)/4]
 }
+
+// LoopBody returns the loop that starts at start: the instructions from
+// start through the last backward branch that targets it, or nil when no
+// backward branch does.
+func (p *Program) LoopBody(start uint32) []Inst {
+	for i := len(p.Insts) - 1; i >= 0; i-- {
+		if in := p.Insts[i]; in.IsBackwardBranch() && in.BranchTarget() == start {
+			return p.Slice(start, in.Addr+4)
+		}
+	}
+	return nil
+}

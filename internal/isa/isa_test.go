@@ -258,6 +258,29 @@ func TestProgramAt(t *testing.T) {
 	}
 }
 
+func TestProgramLoopBody(t *testing.T) {
+	prog := isaProgram(0x1000, 7)
+	p := &prog
+	branchTo := func(i int, target uint32) {
+		in := &p.Insts[i]
+		*in = Inst{Op: OpBNE, Rd: RegNone, Rs1: X5, Rs2: X6, Rs3: RegNone,
+			Imm: int32(target) - int32(in.Addr), Addr: in.Addr}
+	}
+	branchTo(2, 0x1004) // first branch closing the loop at 0x1004
+	branchTo(4, 0x1004) // the last one bounds the body
+	branchTo(5, 0x1000) // targets another loop head
+	body := p.LoopBody(0x1004)
+	if len(body) != 4 || body[0].Addr != 0x1004 || body[3].Addr != 0x1010 {
+		t.Errorf("LoopBody(0x1004) = %v, want 0x1004 through 0x1010", body)
+	}
+	if got := len(p.LoopBody(0x1000)); got != 6 {
+		t.Errorf("LoopBody(0x1000) len = %d, want 6", got)
+	}
+	if body := p.LoopBody(0x1008); body != nil {
+		t.Errorf("LoopBody with no closing branch = %v, want nil", body)
+	}
+}
+
 // isaProgram builds an n-instruction nop program at base.
 func isaProgram(base uint32, n int) Program {
 	insts := make([]Inst, n)

@@ -3,7 +3,6 @@ package kernels
 import (
 	"testing"
 
-	"mesa/internal/isa"
 	"mesa/internal/sim"
 )
 
@@ -63,17 +62,11 @@ func TestKernelLoopsDetectable(t *testing.T) {
 			if loopStart == 0 {
 				t.Fatal("no loop start")
 			}
-			var closing *isa.Inst
-			for i := range prog.Insts {
-				in := prog.Insts[i]
-				if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-					closing = &prog.Insts[i]
-				}
-			}
-			if closing == nil {
+			body := prog.LoopBody(loopStart)
+			if body == nil {
 				t.Fatal("no backward branch targeting the loop start")
 			}
-			size := int(closing.Addr+4-loopStart) / 4
+			size := len(body)
 			if size < 5 {
 				t.Errorf("loop body suspiciously small: %d instructions", size)
 			}

@@ -12,10 +12,10 @@ import (
 func init() { Register(annealStrategy{}) }
 
 const (
-	// defaultAnnealSteps is the refinement budget when Options.RefineSteps
-	// is zero: enough to explore the M-128-scale grids the paper targets
-	// while keeping a full kernel sweep interactive.
-	defaultAnnealSteps = 600
+	// annealSteps is the refinement budget: enough to explore the
+	// M-128-scale grids the paper targets while keeping a full kernel
+	// sweep interactive.
+	annealSteps = 600
 
 	// annealT0/annealTEnd bracket the geometric cooling schedule, in units
 	// of the cost function (cycles, with the II term weighted below).
@@ -28,8 +28,8 @@ const (
 	// modeled iteration latency.
 	annealIIWeight = 1000.0
 
-	// annealStream is the PCG stream constant, fixed so a given
-	// Options.Seed always reproduces the same placement.
+	// annealStream is the PCG stream constant, fixed so placementSeed
+	// always reproduces the same placement.
 	annealStream = 0x6d657361 // "mesa"
 )
 
@@ -48,10 +48,6 @@ func (annealStrategy) Map(l *LDFG, be *accel.Config, o Options) (*SDFG, *MapStat
 	if err != nil {
 		return nil, nil, err
 	}
-	steps := o.RefineSteps
-	if steps <= 0 {
-		steps = defaultAnnealSteps
-	}
 	tiles := o.Tiles
 	if tiles < 1 {
 		tiles = 1
@@ -60,15 +56,15 @@ func (annealStrategy) Map(l *LDFG, be *accel.Config, o Options) (*SDFG, *MapStat
 		return s.PredictedII(tiles)*annealIIWeight + s.Evaluate().Total
 	}
 
-	rng := rand.New(rand.NewPCG(o.Seed, annealStream))
+	rng := rand.New(rand.NewPCG(placementSeed, annealStream))
 	curCost := cost(cur)
 	best, bestCost := cur.clone(), curCost
 	accepted := 0
 	movable := movableNodes(cur)
 	temp := annealT0
-	alpha := math.Pow(annealTEnd/annealT0, 1/float64(steps))
+	alpha := math.Pow(annealTEnd/annealT0, 1/float64(annealSteps))
 	if len(movable) > 0 {
-		for i := 0; i < steps; i++ {
+		for i := 0; i < annealSteps; i++ {
 			undo, ok := proposeMove(rng, cur, movable)
 			temp *= alpha
 			if !ok {
@@ -92,7 +88,7 @@ func (annealStrategy) Map(l *LDFG, be *accel.Config, o Options) (*SDFG, *MapStat
 	copy(best.Completion, best.Evaluate().Completion)
 
 	stats.Strategy = "greedy+anneal"
-	stats.RefineSteps = steps
+	stats.RefineSteps = annealSteps
 	stats.RefineAccepted = accepted
 	return best, stats, nil
 }

@@ -112,7 +112,7 @@ func (m *Mapper) Map(l *LDFG, be *accel.Config) (*SDFG, *MapStats, error) {
 				seedRow += 2
 			}
 			candidates = m.windowCandidates(s, n, anchor)
-			if len(candidates) == 0 && m.opts.FullSearchFallback {
+			if len(candidates) == 0 {
 				stats.FullSearches++
 				candidates = m.fullCandidates(s, n)
 			}

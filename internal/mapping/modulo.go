@@ -45,7 +45,7 @@ const (
 	moduloConflictWeight = 64.0
 
 	// moduloStream is the PCG stream constant for seeded tie-breaks, fixed
-	// so a given Options.Seed always reproduces the same placement.
+	// so placementSeed always reproduces the same placement.
 	moduloStream = 0x6d6f6449 // "modI"
 
 	moduloEps = 1e-9
@@ -142,7 +142,7 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 		rowLanes[r] = sched.NewBudget(ii, lanes)
 	}
 
-	rng := rand.New(rand.NewPCG(o.Seed, moduloStream))
+	rng := rand.New(rand.NewPCG(placementSeed, moduloStream))
 	hr, isHalfRing := be.Interconnect.(noc.HalfRing)
 
 	var scratch []dfg.Edge

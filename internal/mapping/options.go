@@ -2,6 +2,10 @@ package mapping
 
 import "mesa/internal/accel"
 
+// placementSeed seeds the deterministic PRNG of the stochastic strategies
+// (greedy+anneal, modulo), so every run reproduces the same placement.
+const placementSeed = 0
+
 // Options tunes Algorithm 1's hardware parameters and carries the optional
 // inputs that refinement strategies consume. The zero values of the extra
 // fields leave every strategy's greedy seed bit-identical to the paper's
@@ -11,10 +15,6 @@ type Options struct {
 	// The paper's hardware uses a fixed 4×8 window positioned at the
 	// predecessor with higher latency (§3.3).
 	WindowRows, WindowCols int
-
-	// FullSearchFallback widens the search to the whole grid when the fixed
-	// window yields no valid candidate, before resorting to the bus.
-	FullSearchFallback bool
 
 	// DisableTieBreak turns off the free-neighborhood tie-breaking rule
 	// (ties are then resolved by scan order). Used by the ablation study.
@@ -30,14 +30,6 @@ type Options struct {
 	// Tiles is the tile count the placement will run under; refinement
 	// strategies optimize PredictedII(Tiles). 0 is treated as 1.
 	Tiles int
-
-	// Seed seeds the deterministic PRNG of stochastic strategies
-	// (greedy+anneal). The same seed always yields the same placement.
-	Seed uint64
-
-	// RefineSteps bounds the refinement loop of iterative strategies; 0
-	// selects the strategy's default budget.
-	RefineSteps int
 
 	// Attrib is measured bottleneck feedback from a previous run of this
 	// region (nil on the first mapping). The congestion strategy biases
@@ -57,7 +49,7 @@ type Options struct {
 
 // DefaultOptions matches the paper's hardware implementation.
 func DefaultOptions() Options {
-	return Options{WindowRows: 4, WindowCols: 8, FullSearchFallback: true, TimeShare: 1}
+	return Options{WindowRows: 4, WindowCols: 8, TimeShare: 1}
 }
 
 // MapStats reports what the mapper did, feeding the imap FSM timing model

@@ -19,13 +19,7 @@ func hotLoop(t *testing.T, k *kernels.Kernel) *mapping.LDFG {
 	if err != nil {
 		t.Fatalf("%s: %v", k.Name, err)
 	}
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
-	l, err := core.BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+	l, err := core.BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
 	if err != nil {
 		t.Fatalf("%s: %v", k.Name, err)
 	}

@@ -147,13 +147,7 @@ func graphFor(t *testing.T, name string) *dfg.Graph {
 	}
 	prog, loopStart := k.MustProgram()
 	be := accel.M128()
-	var end uint32
-	for _, in := range prog.Insts {
-		if in.IsBackwardBranch() && in.BranchTarget() == loopStart {
-			end = in.Addr + 4
-		}
-	}
-	l, err := core.BuildLDFG(prog.Slice(loopStart, end), be.EstimateLat)
+	l, err := core.BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 // Layering:
 //
 //   - Request coalescing and warm results come from the internal/experiments
-//     single-flight simulation cache (bounded LRU, optional on-disk store):
+//     single-flight simulation cache (bounded, memory-only LRU):
 //     concurrent identical requests run one simulation; repeated requests
 //     hit warm entries.
 //   - Admission control bounds concurrent simulations to the
