@@ -1,6 +1,7 @@
 # Pre-merge checks for the MESA reproduction.
 #
-#   make ci          # everything a PR must pass: vet + lint + test + test-race + bench-check
+#   make ci          # everything a PR must pass: fmt + vet + lint + test + test-race + bench-check
+#   make fmt         # every Go file is gofmt-clean (lists the offenders)
 #   make bench-module # vet + test the benchmark harness in bench/ (its own Go module)
 #   make lint        # staticcheck (pinned version; skipped with a notice when unavailable offline)
 #   make test        # tier-1: go build + go test
@@ -24,9 +25,9 @@ BENCH_TOL ?= 0
 # Pinned so every machine lints with the same rule set; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: ci build vet lint test test-race fuzz-smoke mesad-smoke bench bench-module bench-json bench-check bench-baseline bench-attrib bench-mappers
+.PHONY: ci fmt build vet lint test test-race fuzz-smoke mesad-smoke bench bench-module bench-json bench-check bench-baseline bench-attrib bench-mappers
 
-ci: vet lint test test-race bench-module fuzz-smoke mesad-smoke bench-check bench-mappers
+ci: fmt vet lint test test-race bench-module fuzz-smoke mesad-smoke bench-check bench-mappers
 
 # Prefer a staticcheck already on PATH (matching any version is better than
 # nothing), else fetch the pinned version via `go run`. Offline sandboxes
@@ -40,6 +41,10 @@ lint:
 	else \
 		echo "lint: staticcheck unavailable (offline?); skipping"; \
 	fi
+
+# gofmt is the one formatting rule; fail listing every file it would change.
+fmt:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "fmt: gofmt -l reports:"; echo "$$files"; exit 1; }
 
 build:
 	$(GO) build ./...

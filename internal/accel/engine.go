@@ -31,6 +31,10 @@ type Engine struct {
 	// Loop control.
 	loopBranch dfg.NodeID
 
+	// liveOut lists g.LiveOut densely (X0 dropped), so the per-iteration
+	// architectural write-back does not range over a map.
+	liveOut []liveOutReg
+
 	// Per-iteration scratch state, sized to the graph.
 	value      []uint32
 	completion []float64
@@ -102,6 +106,13 @@ type Engine struct {
 	traced     bool
 	traceClock float64
 	nodeLabel  []string
+}
+
+// liveOutReg is one architectural register written back after an iteration
+// and the node that produces it.
+type liveOutReg struct {
+	reg isa.Reg
+	id  dfg.NodeID
 }
 
 // nodeEdges holds one node's incoming-edge indices into the dense per-edge
@@ -202,6 +213,11 @@ func NewEngine(cfg *Config, g *dfg.Graph, pos []noc.Coord, loopBranch dfg.NodeID
 		pfLastAddr: make([]uint32, n),
 		pfStride:   make([]int64, n),
 		pfSeen:     make([]uint8, n),
+	}
+	for r, id := range g.LiveOut {
+		if r != isa.X0 {
+			e.liveOut = append(e.liveOut, liveOutReg{r, id})
+		}
 	}
 	e.edges, e.edgePairs = buildEdgeIndex(g)
 	e.counters = Counters{
@@ -790,10 +806,8 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 	e.storeBuf = storeBuf
 
 	// Update architectural live-outs.
-	for r, id := range g.LiveOut {
-		if r != isa.X0 {
-			regs[r] = e.value[id]
-		}
+	for _, lo := range e.liveOut {
+		regs[lo.reg] = e.value[lo.id]
 	}
 
 	cont := false

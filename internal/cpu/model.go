@@ -23,7 +23,10 @@ type Core struct {
 
 	regReady [isa.NumRegs]float64
 
-	fuFree  map[isa.Class][]float64
+	// Functional-unit state lowered from cfg.FUs to dense per-class tables:
+	// fuFree[cls] is nil for a class without a pool.
+	fuFree  [isa.NumClasses][]float64
+	fu      [isa.NumClasses]FUPool
 	memFree []float64
 
 	rob     []float64 // retire times ring buffer
@@ -53,7 +56,6 @@ func NewCore(cfg Config, hier *mem.Hierarchy) *Core {
 	c := &Core{
 		cfg:           cfg,
 		hier:          hier,
-		fuFree:        make(map[isa.Class][]float64),
 		memFree:       make([]float64, cfg.MemPorts),
 		rob:           make([]float64, cfg.ROBSize),
 		issueFree:     make([]float64, cfg.IssueWidth),
@@ -62,7 +64,11 @@ func NewCore(cfg Config, hier *mem.Hierarchy) *Core {
 		pfStride:      make(map[uint32]int64),
 	}
 	for cls, pool := range cfg.FUs {
+		if cls >= isa.NumClasses {
+			continue // no instruction has this class
+		}
 		c.fuFree[cls] = make([]float64, pool.Count)
+		c.fu[cls] = pool
 	}
 	return c
 }
@@ -150,15 +156,15 @@ func (c *Core) Trace(ev sim.Event) {
 	case isa.ClassSystem, isa.ClassInvalid:
 		complete = start + 1
 	default:
-		pool, ok := c.fuFree[cls]
-		if !ok {
+		pool := c.fuFree[cls]
+		if pool == nil {
 			complete = start + 1
 			break
 		}
 		fu := earliest(pool)
 		at := math.Max(start, pool[fu])
-		lat := float64(c.cfg.FUs[cls].Latency)
-		if c.cfg.FUs[cls].Pipelined {
+		lat := float64(c.fu[cls].Latency)
+		if c.fu[cls].Pipelined {
 			pool[fu] = at + 1
 		} else {
 			pool[fu] = at + lat

@@ -21,7 +21,7 @@ func TestCompareBenchInjectedRegression(t *testing.T) {
 		BenchMetric{Name: "fig11.geomean_speedup_m128", Value: 2.0, HigherIsBetter: true},
 	)
 	current := snap(
-		BenchMetric{Name: "kernel.nn.m128.total_cycles", Value: 1050}, // +5%: worse
+		BenchMetric{Name: "kernel.nn.m128.total_cycles", Value: 1050},                     // +5%: worse
 		BenchMetric{Name: "fig11.geomean_speedup_m128", Value: 1.9, HigherIsBetter: true}, // -5%: worse
 	)
 	diffs, regressed := CompareBench(baseline, current, 0.02)

@@ -254,7 +254,7 @@ func mappersRowUncached(k *kernels.Kernel) (MappersRow, error) {
 // Render formats the ablation as a table.
 func (r *MappersResult) Render() string {
 	var b strings.Builder
-	b.WriteString("Mapper strategy ablation: greedy seed vs refinement (M-128, serial, " )
+	b.WriteString("Mapper strategy ablation: greedy seed vs refinement (M-128, serial, ")
 	fmt.Fprintf(&b, "%d measured iterations)\n", mapperMeasureIters)
 	b.WriteString("congestion and auto re-place with the attribution counters measured on the greedy placement;\n")
 	b.WriteString("auto:<delegate> names the selected strategy, (rev) a delegation reverted for measuring worse\n")

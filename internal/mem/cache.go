@@ -54,13 +54,22 @@ type cacheLine struct {
 	lru   uint64
 }
 
+// chunkSets is the number of sets whose tag storage is allocated together,
+// on the first install into any of them (16 KB for the default 16-way L2).
+// A cache with fewer sets has a single chunk of exactly its size.
+const chunkSets = 64
+
 // Cache is one level of a timing-only cache model with true LRU replacement.
-// It tracks only tags: data correctness is the functional Memory's job.
+// It tracks only tags: data correctness is the functional Memory's job. Tag
+// storage is allocated in chunks of chunkSets sets on first install, so a
+// simulation pays only for the sets it touches; an unallocated chunk reads
+// as all-invalid.
 type Cache struct {
-	cfg   CacheConfig
-	sets  [][]cacheLine
-	clock uint64
-	stats CacheStats
+	cfg        CacheConfig
+	chunks     [][]cacheLine // chunk k holds sets k*chunkSets onward; nil until first install
+	chunkLines int
+	clock      uint64
+	stats      CacheStats
 
 	setMask   uint32
 	lineShift uint
@@ -72,28 +81,66 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Sets()
-	sets := make([][]cacheLine, nsets)
-	lines := make([]cacheLine, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
-	}
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
 	return &Cache{
-		cfg: cfg, sets: sets,
-		setMask: uint32(nsets - 1), lineShift: shift,
+		cfg:        cfg,
+		chunks:     make([][]cacheLine, (nsets+chunkSets-1)/chunkSets),
+		chunkLines: min(nsets, chunkSets) * cfg.Ways,
+		setMask:    uint32(nsets - 1), lineShift: shift,
 	}, nil
 }
 
+// set returns the ways of tag's set, or nil while the set's chunk is
+// unallocated.
+func (c *Cache) set(tag uint32) []cacheLine {
+	s := tag & c.setMask
+	chunk := c.chunks[s/chunkSets]
+	if chunk == nil {
+		return nil
+	}
+	off := int(s%chunkSets) * c.cfg.Ways
+	return chunk[off : off+c.cfg.Ways]
+}
+
+// installSet returns the ways of tag's set, allocating the set's chunk on
+// first use. Only paths that go on to install a line call it.
+func (c *Cache) installSet(tag uint32) []cacheLine {
+	s := tag & c.setMask
+	chunk := c.chunks[s/chunkSets]
+	if chunk == nil {
+		chunk = make([]cacheLine, c.chunkLines)
+		c.chunks[s/chunkSets] = chunk
+	}
+	off := int(s%chunkSets) * c.cfg.Ways
+	return chunk[off : off+c.cfg.Ways]
+}
+
+// victim picks the way to replace: the first invalid way, else the least
+// recently used.
+func victim(set []cacheLine) int {
+	v := 0
+	for i := 1; i < len(set); i++ {
+		if !set[i].valid {
+			return i
+		}
+		if set[i].lru < set[v].lru {
+			v = i
+		}
+	}
+	return v
+}
+
 // Lookup accesses the cache for addr, updating LRU state, and reports
-// whether it hit. A miss installs the line.
+// whether it hit. A miss installs the line, so the set's chunk is allocated
+// up front.
 func (c *Cache) Lookup(addr uint32) bool {
 	c.clock++
 	c.stats.Accesses++
 	tag := addr >> c.lineShift
-	set := c.sets[tag&c.setMask]
+	set := c.installSet(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.clock
@@ -101,25 +148,15 @@ func (c *Cache) Lookup(addr uint32) bool {
 		}
 	}
 	c.stats.Misses++
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	set[victim] = cacheLine{tag: tag, valid: true, lru: c.clock}
+	set[victim(set)] = cacheLine{tag: tag, valid: true, lru: c.clock}
 	return false
 }
 
 // Contains reports whether addr's line is present without touching LRU or
-// statistics (used by prefetch heuristics).
+// statistics (used by prefetch heuristics). It never allocates.
 func (c *Cache) Contains(addr uint32) bool {
 	tag := addr >> c.lineShift
-	for _, l := range c.sets[tag&c.setMask] {
+	for _, l := range c.set(tag) {
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -134,18 +171,8 @@ func (c *Cache) Touch(addr uint32) {
 	}
 	c.clock++
 	tag := addr >> c.lineShift
-	set := c.sets[tag&c.setMask]
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	set[victim] = cacheLine{tag: tag, valid: true, lru: c.clock}
+	set := c.installSet(tag)
+	set[victim(set)] = cacheLine{tag: tag, valid: true, lru: c.clock}
 }
 
 // Stats returns the access counters.
@@ -153,17 +180,6 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
-	c.clock = 0
-	c.stats = CacheStats{}
-}
 
 // HierarchyConfig describes the simulated memory system: private L1D, shared
 // L2, and DRAM. Defaults follow the paper's evaluation setup (64KB L1,
@@ -183,7 +199,9 @@ func DefaultHierarchy() HierarchyConfig {
 	}
 }
 
-// Hierarchy is a two-level cache timing model in front of DRAM.
+// Hierarchy is a two-level cache timing model in front of DRAM. Like
+// Memory, a hierarchy is owned by one simulation and is not safe for
+// concurrent use.
 type Hierarchy struct {
 	cfg HierarchyConfig
 	L1  *Cache
@@ -253,11 +271,3 @@ func (h *Hierarchy) Accesses() uint64 { return h.accesses }
 
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
-// Reset clears all cache contents and counters.
-func (h *Hierarchy) Reset() {
-	h.L1.Reset()
-	h.L2.Reset()
-	h.accesses = 0
-	h.totalCycles = 0
-}
