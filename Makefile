@@ -8,7 +8,7 @@
 #   make test-race   # the sweep fan-out must be race-clean
 #   make fuzz-smoke  # 10s of each Go fuzz target (differential, FP spec, ISA round-trip)
 #   make mesad-smoke # mesad end-to-end self-test: serve, load-generate, scrape /metrics
-#   make bench       # run the Go benchmarks once with -benchmem (allocation counts)
+#   make bench       # run every package's Go benchmarks once with -benchmem (allocation counts)
 #   make bench-json  # write the current performance snapshot to BENCH.json
 #   make bench-check # regression-gate the snapshot against BENCH_baseline.json
 #   make bench-attrib# write the suite-wide bottleneck attribution to ATTRIB.json
@@ -84,7 +84,7 @@ mesad-smoke:
 	$(GO) run ./cmd/mesad -smoke -smoke-trace mesad-trace.json
 
 bench:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
 bench-json:
 	$(GO) run ./cmd/mesabench -out BENCH.json

@@ -50,7 +50,10 @@ type Engine struct {
 	// values from earlier iterations.
 	portFree     []float64
 	portZeroFrom int
-	laneFree     [][]float64
+	// laneFree is the NoC lane free time, flat rows×lanes (row r's lanes at
+	// [r*lanes, (r+1)*lanes)), cleared at the start of every iteration.
+	laneFree []float64
+	lanes    int
 
 	// Strided-prefetch state per load node (§4.2): once a load's address
 	// advances by a stable stride between iterations, the next iteration's
@@ -66,6 +69,11 @@ type Engine struct {
 	// index so per-pair aggregation matches the old map semantics.
 	edges     []nodeEdges
 	edgePairs []uint64
+
+	// routes[k] is edge k's transfer path, resolved once from the placement
+	// (which never changes inside an engine), so transfer does no
+	// coordinate classification or interconnect latency calls.
+	routes []route
 
 	// Per-iteration cache-line coalescing scratch (vectorization): an
 	// open-addressed line-tag table stamped with the iteration generation,
@@ -121,6 +129,24 @@ type nodeEdges struct {
 	src  [3]int32
 	mem  int32
 	pred int32
+}
+
+// routeKind classifies how an edge's data travels.
+type routeKind uint8
+
+const (
+	routeLocal routeKind = iota // direct neighbor link (part of PE power)
+	routeNoC                    // half-ring NoC lane in the producer's row
+	routeBus                    // secondary fallback bus
+)
+
+// route is one edge's static transfer path: its kind, its uncontended
+// latency, and for NoC routes the lane row (the producer's row, clamped to 0
+// when off the grid).
+type route struct {
+	kind routeKind
+	row  int32
+	lat  float64
 }
 
 // Counters accumulates measured per-node and per-edge latencies — the
@@ -230,10 +256,9 @@ func NewEngine(cfg *Config, g *dfg.Graph, pos []noc.Coord, loopBranch dfg.NodeID
 		PortGrants:   make([]uint64, cfg.MemPorts),
 		PortWait:     make([]float64, cfg.MemPorts),
 	}
-	e.laneFree = make([][]float64, cfg.Rows)
-	for r := range e.laneFree {
-		e.laneFree[r] = make([]float64, max(1, cfg.NoCLanesPerRow))
-	}
+	e.routes = e.buildRoutes()
+	e.lanes = max(1, cfg.NoCLanesPerRow)
+	e.laneFree = make([]float64, cfg.Rows*e.lanes)
 	for _, p := range pos {
 		if cfg.InBounds(p) {
 			e.activity.PEsConfigured++
@@ -332,6 +357,36 @@ func buildEdgeIndex(g *dfg.Graph) ([]nodeEdges, []uint64) {
 	return edges, pairs
 }
 
+// buildRoutes resolves every indexed edge's transfer path from the
+// placement: bus when either end fell back to the secondary bus, else the
+// interconnect's base latency, riding a NoC lane when a half-ring sends it
+// over the network and a local link otherwise.
+func (e *Engine) buildRoutes() []route {
+	routes := make([]route, len(e.edgePairs))
+	onBus := func(id dfg.NodeID) bool {
+		p := e.pos[id]
+		return !e.cfg.InBounds(p) && !e.cfg.IsEdge(p)
+	}
+	hr, isHalfRing := e.cfg.Interconnect.(noc.HalfRing)
+	for k, key := range e.edgePairs {
+		from, to := dfg.NodeID(key>>32), dfg.NodeID(uint32(key))
+		if onBus(from) || onBus(to) {
+			routes[k] = route{kind: routeBus, lat: float64(e.cfg.BusLat)}
+			continue
+		}
+		a, b := e.pos[from], e.pos[to]
+		r := route{kind: routeLocal, lat: float64(e.cfg.Interconnect.Latency(a, b))}
+		if isHalfRing && hr.UsesNoC(a, b) {
+			r.kind = routeNoC
+			if a.Row >= 0 && a.Row < e.cfg.Rows {
+				r.row = int32(a.Row)
+			}
+		}
+		routes[k] = r
+	}
+	return routes
+}
+
 // nextPow2 returns the smallest power of two >= n (n must be positive).
 func nextPow2(n int) int {
 	p := 1
@@ -385,58 +440,45 @@ func (e *Engine) AttachRecorder(r *obs.Recorder, base float64) {
 // all iteration latencies executed so far).
 func (e *Engine) TraceClock() float64 { return e.traceClock }
 
-// onBus reports whether a node fell back to the secondary bus.
-func (e *Engine) onBus(id dfg.NodeID) bool {
-	p := e.pos[id]
-	return !e.cfg.InBounds(p) && !e.cfg.IsEdge(p)
-}
-
-// transfer returns the arrival time at `to` of data produced by `from` at
-// time ready, charging interconnect latency and NoC lane contention, and
-// records the measured edge latency under the precomputed edge index.
-func (e *Engine) transfer(from, to dfg.NodeID, edge int32, ready float64) float64 {
-	var lat float64
-	switch {
-	case e.onBus(from) || e.onBus(to):
+// transfer returns the arrival time over edge of data produced by from at
+// time ready, and records the measured edge latency under the edge index.
+// The route (bus, NoC or local link, and its base latency) was resolved at
+// NewEngine; only NoC lane arbitration happens here.
+func (e *Engine) transfer(from dfg.NodeID, edge int32, ready float64) float64 {
+	r := &e.routes[edge]
+	lat := r.lat
+	switch r.kind {
+	case routeBus:
 		// Fallback-bus traffic does not occupy NoC lanes: it must not count
 		// against the row-lane bandwidth bound of the initiation-interval
 		// model.
-		lat = float64(e.cfg.BusLat)
 		e.counters.BusTransfers++
 		if e.traced {
 			e.rec.Complete(obs.PIDAccel, nodeTID(from), "bus", "bus transfer", e.traceClock+ready, lat)
 		}
-	default:
-		a, b := e.pos[from], e.pos[to]
-		base := float64(e.cfg.Interconnect.Latency(a, b))
-		hr, isHalfRing := e.cfg.Interconnect.(noc.HalfRing)
-		if isHalfRing && hr.UsesNoC(a, b) {
-			// Arbitrate for a NoC lane in the producer's row.
-			row := a.Row
-			if row < 0 || row >= len(e.laneFree) {
-				row = 0
+	case routeNoC:
+		// Arbitrate for a NoC lane in the producer's row.
+		row := int(r.row)
+		lanes := e.laneFree[row*e.lanes : (row+1)*e.lanes]
+		lane := 0
+		for l := 1; l < len(lanes); l++ {
+			if lanes[l] < lanes[lane] {
+				lane = l
 			}
-			lane := 0
-			for l := 1; l < len(e.laneFree[row]); l++ {
-				if e.laneFree[row][l] < e.laneFree[row][lane] {
-					lane = l
-				}
-			}
-			start := math.Max(ready, e.laneFree[row][lane])
-			e.counters.NoCWaitCycles += start - ready
-			e.laneFree[row][lane] = start + 1
-			lat = (start - ready) + base
-			e.counters.NoCTransfers++
-			e.counters.RowTransfers[row]++
-			e.activity.NoC += base
-			if e.traced && start > ready {
-				e.rec.Complete(obs.PIDAccel, nodeTID(from), "noc", "lane wait", e.traceClock+ready, start-ready)
-			}
-		} else {
-			// Local neighbor links are part of PE power: no NoC activity.
-			lat = base
-			e.counters.LocalTransfers++
 		}
+		start := max(ready, lanes[lane])
+		e.counters.NoCWaitCycles += start - ready
+		lanes[lane] = start + 1
+		lat += start - ready
+		e.counters.NoCTransfers++
+		e.counters.RowTransfers[row]++
+		e.activity.NoC += r.lat
+		if e.traced && start > ready {
+			e.rec.Complete(obs.PIDAccel, nodeTID(from), "noc", "lane wait", e.traceClock+ready, start-ready)
+		}
+	default:
+		// Local neighbor links are part of PE power: no NoC activity.
+		e.counters.LocalTransfers++
 	}
 	e.counters.EdgeLatSum[edge] += lat
 	e.counters.EdgeLatN[edge]++
@@ -465,7 +507,7 @@ func (e *Engine) port(ready float64, addr uint32) float64 {
 		if e.lineGen[slot] == e.iterGen {
 			if grant := e.lineVal[slot]; grant >= ready-1 {
 				e.counters.Coalesced++
-				return math.Max(ready, grant)
+				return max(ready, grant)
 			}
 		}
 		lineSlot = slot
@@ -489,7 +531,7 @@ func (e *Engine) port(ready float64, addr uint32) float64 {
 			}
 		}
 	}
-	start := math.Max(ready, e.portFree[best])
+	start := max(ready, e.portFree[best])
 	e.counters.PortWaitCycles += start - ready
 	e.counters.PortGrants[best]++
 	e.counters.PortWait[best] += start - ready
@@ -554,11 +596,7 @@ func readReg(regs *[isa.NumRegs]uint32, r isa.Reg) uint32 {
 func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error) {
 	g := e.g
 	e.portZeroFrom = 0 // all ports free; stale slots die on first grant
-	for r := range e.laneFree {
-		for l := range e.laneFree[r] {
-			e.laneFree[r][l] = 0
-		}
-	}
+	clear(e.laneFree)
 
 	// Advance the scratch generation: every line-grant and unit-busy slot
 	// stamped with an older generation becomes dead without any clearing. On
@@ -601,7 +639,7 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 			case n.Src[k] != dfg.None:
 				src := n.Src[k]
 				opVal[k] = e.value[src]
-				if a := e.transfer(src, id, ne.src[k], e.completion[src]); a > arrival {
+				if a := e.transfer(src, ne.src[k], e.completion[src]); a > arrival {
 					arrival = a
 				}
 			case n.LiveIn[k] != isa.RegNone:
@@ -612,7 +650,7 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 			}
 		}
 		if n.MemDep != dfg.None {
-			if a := e.transfer(n.MemDep, id, ne.mem, e.completion[n.MemDep]); a > arrival {
+			if a := e.transfer(n.MemDep, ne.mem, e.completion[n.MemDep]); a > arrival {
 				arrival = a
 			}
 		}
@@ -624,7 +662,7 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 			pa := ctrlArrival
 			if n.PredDep != dfg.None {
 				old = e.value[n.PredDep]
-				if a := e.transfer(n.PredDep, id, ne.pred, e.completion[n.PredDep]); a > pa {
+				if a := e.transfer(n.PredDep, ne.pred, e.completion[n.PredDep]); a > pa {
 					pa = a
 				}
 			} else if n.PredLiveIn != isa.RegNone {
@@ -682,19 +720,19 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 				if st.addr == addr && st.width == width && width == 4 {
 					// Exact match: broadcast forwarding path.
 					val = st.value
-					fwdDone = math.Max(start, st.dataReady) + 1
+					fwdDone = max(start, st.dataReady) + 1
 					fwd = true
 					if st.addrReady > start {
 						// The store's address resolved after this load
 						// issued: the load speculated and is invalidated.
 						e.counters.Invalidations++
-						fwdDone = math.Max(fwdDone, st.addrReady+invalidateLat)
+						fwdDone = max(fwdDone, st.addrReady+invalidateLat)
 					}
 				} else {
 					// Partial overlap: the load must replay from memory
 					// after the store commits.
 					conflict = true
-					conflictDone = math.Max(st.dataReady, st.addrReady)
+					conflictDone = max(st.dataReady, st.addrReady)
 				}
 				break
 			}
@@ -705,7 +743,7 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 				issue := start
 				if conflict {
 					e.counters.Invalidations++
-					issue = math.Max(issue, conflictDone+invalidateLat)
+					issue = max(issue, conflictDone+invalidateLat)
 				}
 				at := e.port(issue, addr)
 				lat := float64(e.hier.AccessLatency(addr))
@@ -906,10 +944,3 @@ const (
 	liveInLat     = 1.0
 	invalidateLat = 2.0
 )
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

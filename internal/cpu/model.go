@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"math"
 
 	"mesa/internal/isa"
 	"mesa/internal/mem"
@@ -39,9 +38,11 @@ type Core struct {
 	// through the store queue.
 	storeComplete map[uint32]float64
 
-	// Per-PC stride-prefetcher state.
-	pfLast   map[uint32]uint32
-	pfStride map[uint32]int64
+	// Per-PC stride-prefetcher state, dense over load PCs: pf[k] belongs to
+	// PC (pfBase+k)<<2, grown on demand in either direction (see
+	// prefetchEntry).
+	pf     []pfEntry
+	pfBase uint32
 
 	Mispredicts uint64
 	Prefetches  uint64
@@ -60,8 +61,6 @@ func NewCore(cfg Config, hier *mem.Hierarchy) *Core {
 		rob:           make([]float64, cfg.ROBSize),
 		issueFree:     make([]float64, cfg.IssueWidth),
 		storeComplete: make(map[uint32]float64),
-		pfLast:        make(map[uint32]uint32),
-		pfStride:      make(map[uint32]int64),
 	}
 	for cls, pool := range cfg.FUs {
 		if cls >= isa.NumClasses {
@@ -71,6 +70,37 @@ func NewCore(cfg Config, hier *mem.Hierarchy) *Core {
 		c.fu[cls] = pool
 	}
 	return c
+}
+
+// pfEntry is one load PC's stride-prefetcher state: the last address it
+// loaded and the stride between its last two addresses (0 until it has
+// loaded twice). seen is false for a PC that has not loaded yet.
+type pfEntry struct {
+	stride int64
+	last   uint32
+	seen   bool
+}
+
+// prefetchEntry returns the prefetcher entry for a load PC, growing the
+// table to cover it. The functional machine delivers only PCs that step in
+// 4s from the program base (isa.Program.At rejects the others), so PC>>2 is
+// one distinct slot per instruction.
+func (c *Core) prefetchEntry(pc uint32) *pfEntry {
+	k := pc >> 2
+	switch {
+	case c.pf == nil:
+		c.pfBase = k
+	case k < c.pfBase:
+		// Regrow downward: shift the table up so k becomes slot 0.
+		grown := make([]pfEntry, int(c.pfBase-k)+len(c.pf))
+		copy(grown[c.pfBase-k:], c.pf)
+		c.pf, c.pfBase = grown, k
+	}
+	i := int(k - c.pfBase)
+	if i >= len(c.pf) {
+		c.pf = append(c.pf, make([]pfEntry, i+1-len(c.pf))...)
+	}
+	return &c.pf[i]
 }
 
 // earliest returns the index of the earliest-available unit in the pool.
@@ -114,7 +144,7 @@ func (c *Core) Trace(ev sim.Event) {
 
 	// Issue-slot arbitration.
 	slot := earliest(c.issueFree)
-	start := math.Max(ready, c.issueFree[slot])
+	start := max(ready, c.issueFree[slot])
 	c.issueFree[slot] = start + 1
 
 	var complete float64
@@ -122,22 +152,23 @@ func (c *Core) Trace(ev sim.Event) {
 	switch cls {
 	case isa.ClassLoad:
 		port := earliest(c.memFree)
-		at := math.Max(start, c.memFree[port])
+		at := max(start, c.memFree[port])
 		c.memFree[port] = at + 1
 		lat := float64(c.hier.AccessLatency(ev.Addr))
 		complete = at + lat
 		// L1 stride prefetcher: detect a per-PC stride and pull the next
 		// access's line in ahead of time.
 		if c.cfg.StridePrefetcher {
-			if last, ok := c.pfLast[ev.PC]; ok {
-				stride := int64(ev.Addr) - int64(last)
-				if stride != 0 && stride == c.pfStride[ev.PC] {
+			pf := c.prefetchEntry(ev.PC)
+			if pf.seen {
+				stride := int64(ev.Addr) - int64(pf.last)
+				if stride != 0 && stride == pf.stride {
 					c.hier.Prefetch(uint32(int64(ev.Addr) + stride))
 					c.Prefetches++
 				}
-				c.pfStride[ev.PC] = stride
+				pf.stride = stride
 			}
-			c.pfLast[ev.PC] = ev.Addr
+			pf.last, pf.seen = ev.Addr, true
 		}
 		// Store-to-load dependence through the store queue.
 		if sc, ok := c.storeComplete[ev.Addr&^3]; ok && sc > start {
@@ -148,7 +179,7 @@ func (c *Core) Trace(ev sim.Event) {
 		}
 	case isa.ClassStore:
 		port := earliest(c.memFree)
-		at := math.Max(start, c.memFree[port])
+		at := max(start, c.memFree[port])
 		c.memFree[port] = at + 1
 		c.hier.AccessLatency(ev.Addr)
 		complete = at + 1
@@ -162,7 +193,7 @@ func (c *Core) Trace(ev sim.Event) {
 			break
 		}
 		fu := earliest(pool)
-		at := math.Max(start, pool[fu])
+		at := max(start, pool[fu])
 		lat := float64(c.fu[cls].Latency)
 		if c.fu[cls].Pipelined {
 			pool[fu] = at + 1
@@ -191,7 +222,7 @@ func (c *Core) Trace(ev sim.Event) {
 	}
 
 	// In-order retirement.
-	retire := math.Max(complete, c.lastRetire)
+	retire := max(complete, c.lastRetire)
 	c.lastRetire = retire
 	c.rob[c.robHead] = retire
 	c.robHead = (c.robHead + 1) % len(c.rob)

@@ -18,16 +18,30 @@ const pageSize = 1 << pageBits
 // Memory is a sparse little-endian byte-addressable memory. The zero value
 // is not usable; call NewMemory.
 //
-// Memory is not safe for concurrent use: even loads update the one-entry
-// page cache. Every simulation owns its memory exclusively.
+// Memory is not safe for concurrent use: even loads update the page cache.
+// Every simulation owns its memory exclusively.
 type Memory struct {
 	pages map[uint32]*[pageSize]byte
-	// One-entry page cache: kernels access memory with high spatial
-	// locality, so nearly every access lands on the previous access's page.
-	// Pages are never removed, so the cache needs no invalidation.
-	lastPN   uint32
-	lastPage *[pageSize]byte
+	// Hashed page cache in front of the map: kernels stream a handful of
+	// arrays at once, so each stream's current page stays resident in its
+	// own slot. Pages are never removed, so the cache needs no invalidation;
+	// an empty slot has a nil page.
+	cache [pageCacheSlots]pageSlot
 }
+
+// pageCacheSlots is the page-cache size (a power of two; pageSlotOf takes
+// the top pageCacheBits of a multiplicative hash of the page number).
+const (
+	pageCacheBits  = 4
+	pageCacheSlots = 1 << pageCacheBits
+)
+
+type pageSlot struct {
+	pn   uint32
+	page *[pageSize]byte
+}
+
+func pageSlotOf(pn uint32) uint32 { return (pn * 2654435761) >> (32 - pageCacheBits) }
 
 // NewMemory returns an empty memory. All bytes read as zero until written.
 func NewMemory() *Memory {
@@ -36,7 +50,8 @@ func NewMemory() *Memory {
 
 func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 	pn := addr >> pageBits
-	if p := m.lastPage; p != nil && pn == m.lastPN {
+	slot := &m.cache[pageSlotOf(pn)]
+	if p := slot.page; p != nil && slot.pn == pn {
 		return p
 	}
 	p := m.pages[pn]
@@ -45,7 +60,7 @@ func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 		m.pages[pn] = p
 	}
 	if p != nil {
-		m.lastPN, m.lastPage = pn, p
+		slot.pn, slot.page = pn, p
 	}
 	return p
 }
