@@ -34,9 +34,9 @@ type Core struct {
 	lastRetire float64
 	retired    uint64
 
-	// lastStoreComplete models store-to-load conflicts conservatively
-	// through the store queue.
-	storeComplete map[uint32]float64
+	// stores models store-to-load conflicts conservatively through the
+	// store queue.
+	stores storeQueue
 
 	// Per-PC stride-prefetcher state, dense over load PCs: pf[k] belongs to
 	// PC (pfBase+k)<<2, grown on demand in either direction (see
@@ -55,12 +55,11 @@ type Core struct {
 // NewCore builds a timing model over the given memory hierarchy.
 func NewCore(cfg Config, hier *mem.Hierarchy) *Core {
 	c := &Core{
-		cfg:           cfg,
-		hier:          hier,
-		memFree:       make([]float64, cfg.MemPorts),
-		rob:           make([]float64, cfg.ROBSize),
-		issueFree:     make([]float64, cfg.IssueWidth),
-		storeComplete: make(map[uint32]float64),
+		cfg:       cfg,
+		hier:      hier,
+		memFree:   make([]float64, cfg.MemPorts),
+		rob:       make([]float64, cfg.ROBSize),
+		issueFree: make([]float64, cfg.IssueWidth),
 	}
 	for cls, pool := range cfg.FUs {
 		if cls >= isa.NumClasses {
@@ -103,6 +102,56 @@ func (c *Core) prefetchEntry(pc uint32) *pfEntry {
 	return &c.pf[i]
 }
 
+// storeEntry is one in-flight store: the word it writes and the cycle its
+// data becomes forwardable.
+type storeEntry struct {
+	word     uint32
+	complete float64
+}
+
+// storeQueue holds the completion times of the stores a later load could
+// still forward from, at most one entry per word (the newest store wins).
+// It stays bounded because an entry is dropped once its completion is at
+// or before the current dispatch cycle: dispatch never decreases and every
+// instruction starts at or after its dispatch, so such a store can never
+// satisfy a later load's sc > start forwarding test. A store older than
+// the ROB's oldest entry has retired, hence completed, before the current
+// dispatch, so at most ROBSize entries are live.
+type storeQueue struct {
+	entries []storeEntry
+}
+
+// lookup drops the entries completed by dispatch and returns the
+// completion time of the newest live store to word.
+func (q *storeQueue) lookup(word uint32, dispatch float64) (float64, bool) {
+	sc, ok := 0.0, false
+	live := q.entries[:0]
+	for _, e := range q.entries {
+		if e.complete <= dispatch {
+			continue
+		}
+		if e.word == word {
+			sc, ok = e.complete, true
+		}
+		live = append(live, e)
+	}
+	q.entries = live
+	return sc, ok
+}
+
+// insert records a store to word completing at complete, replacing any
+// older store to the same word and dropping the entries completed by
+// dispatch.
+func (q *storeQueue) insert(word uint32, complete, dispatch float64) {
+	live := q.entries[:0]
+	for _, e := range q.entries {
+		if e.complete > dispatch && e.word != word {
+			live = append(live, e)
+		}
+	}
+	q.entries = append(live, storeEntry{word, complete})
+}
+
 // earliest returns the index of the earliest-available unit in the pool.
 func earliest(pool []float64) int {
 	best := 0
@@ -114,23 +163,27 @@ func earliest(pool []float64) int {
 	return best
 }
 
+// nextDispatch is the dispatch cycle of the next instruction: its fetch slot
+// plus the front-end depth, or later when the ROB is full and it must wait
+// for the oldest entry to retire. It never decreases: the fetch slot only
+// advances, and the ROB's oldest retire time only grows.
+func (c *Core) nextDispatch() float64 {
+	return max(c.fetchCycle+float64(c.cfg.DecodeToIssue), c.rob[c.robHead])
+}
+
 // Trace implements sim.Tracer, advancing the timing model by one retired
 // instruction.
 func (c *Core) Trace(ev sim.Event) {
 	in := ev.Inst
 
+	// Dispatch is gated by the front-end depth and ROB occupancy.
+	dispatch := c.nextDispatch()
+
 	// Fetch: FetchWidth instructions per cycle.
-	fetchAt := c.fetchCycle
 	c.fetchInGrp++
 	if c.fetchInGrp >= c.cfg.FetchWidth {
 		c.fetchCycle++
 		c.fetchInGrp = 0
-	}
-
-	// Dispatch is gated by the front-end depth and ROB occupancy.
-	dispatch := fetchAt + float64(c.cfg.DecodeToIssue)
-	if robTail := c.rob[c.robHead]; robTail > dispatch {
-		dispatch = robTail // ROB full: wait for the oldest entry to retire
 	}
 
 	// Operand readiness (full forwarding).
@@ -171,7 +224,7 @@ func (c *Core) Trace(ev sim.Event) {
 			pf.last, pf.seen = ev.Addr, true
 		}
 		// Store-to-load dependence through the store queue.
-		if sc, ok := c.storeComplete[ev.Addr&^3]; ok && sc > start {
+		if sc, ok := c.stores.lookup(ev.Addr&^3, dispatch); ok && sc > start {
 			fwd := sc + 1
 			if fwd < complete {
 				complete = fwd // forwarded from the store queue
@@ -183,7 +236,7 @@ func (c *Core) Trace(ev sim.Event) {
 		c.memFree[port] = at + 1
 		c.hier.AccessLatency(ev.Addr)
 		complete = at + 1
-		c.storeComplete[ev.Addr&^3] = complete
+		c.stores.insert(ev.Addr&^3, complete, dispatch)
 	case isa.ClassSystem, isa.ClassInvalid:
 		complete = start + 1
 	default:

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"mesa/internal/accel"
@@ -20,15 +21,6 @@ import (
 // vectorization), and the backend interconnect. Each returns geomean
 // metrics across the kernel suite.
 
-// regionFor extracts a kernel's hot-loop body.
-func regionFor(k *kernels.Kernel) ([]isa.Inst, error) {
-	prog, loopStart, err := k.Program()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", k.Name, err)
-	}
-	return prog.LoopBody(loopStart), nil
-}
-
 // mapOutcome is one kernel's mapping result inside an ablation sweep.
 type mapOutcome struct {
 	ok    bool // mapping succeeded (ablations skip kernels that do not map)
@@ -37,24 +29,20 @@ type mapOutcome struct {
 }
 
 // mapSuite maps every kernel's hot loop onto the backend with the given
-// mapper options, fanned out over the sweep worker pool. Each task builds a
-// private mapper (Mapper carries probe state) and LDFG.
+// mapper options, fanned out over the sweep worker pool. Each placement is
+// memoized (mapLoop), so configurations that coincide — the paper's 4×8
+// window, tie-break on and the half-ring interconnect — share one mapping.
 func mapSuite(opts core.MapperOptions, be *accel.Config) ([]mapOutcome, error) {
 	ks := kernels.All()
 	return runAll(len(ks), func(i int) (mapOutcome, error) {
-		body, err := regionFor(ks[i])
+		m, err := mapLoop(ks[i], be, opts)
 		if err != nil {
 			return mapOutcome{}, err
 		}
-		l, err := core.BuildLDFG(body, be.EstimateLat)
-		if err != nil {
-			return mapOutcome{}, err
-		}
-		s, stats, err := core.NewMapper(opts).Map(l, be)
-		if err != nil {
+		if m.mapErr != nil {
 			return mapOutcome{}, nil // kernel does not map under this config
 		}
-		return mapOutcome{ok: true, lat: s.Evaluate().Total, stats: *stats}, nil
+		return mapOutcome{ok: true, lat: m.lat, stats: m.stats}, nil
 	})
 }
 
@@ -229,44 +217,50 @@ type regionStats struct {
 	StaticFwd                        int
 }
 
+// regionIters bounds Ablation C's measured engine run.
+const regionIters = 1024
+
+// regionRun is one memoized Ablation C measurement.
+type regionRun struct {
+	avg   float64
+	stats regionStats
+}
+
 // runRegionSerial executes a kernel's hot loop serially on the accelerator
 // with explicit LDFG options and returns the average iteration latency.
+// Memoized under the "region" kind.
 func runRegionSerial(k *kernels.Kernel, be *accel.Config, forwarding bool) (float64, regionStats, error) {
-	prog, loopStart, err := k.Program()
+	v, err := memoDo("region", k, func(w io.Writer) {
+		be.Fingerprint(w)
+		fmt.Fprintf(w, "|fwd%t|iters%d|", forwarding, regionIters)
+	}, func() (any, error) {
+		body, err := regionFor(k)
+		if err != nil {
+			return nil, err
+		}
+		l, err := core.BuildLDFGOpts(body, be.EstimateLat, core.LDFGOptions{DisableForwarding: !forwarding})
+		if err != nil {
+			return nil, err
+		}
+		s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
+		if err != nil {
+			return nil, err
+		}
+		res, engine, err := measureLoop(k, be, l, s.Pos, regionIters)
+		if err != nil {
+			return nil, err
+		}
+		c := engine.Counters()
+		return &regionRun{avg: res.AvgIterCycles, stats: regionStats{
+			Prefetches: c.Prefetches, Forwarded: c.Forwarded,
+			Coalesced: c.Coalesced, StaticFwd: l.Forwarded,
+		}}, nil
+	})
 	if err != nil {
 		return 0, regionStats{}, err
 	}
-	body, err := regionFor(k)
-	if err != nil {
-		return 0, regionStats{}, err
-	}
-	l, err := core.BuildLDFGOpts(body, be.EstimateLat, core.LDFGOptions{DisableForwarding: !forwarding})
-	if err != nil {
-		return 0, regionStats{}, err
-	}
-	s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
-	if err != nil {
-		return 0, regionStats{}, err
-	}
-	memory := k.NewMemory(Seed)
-	hier := mem.MustHierarchy(mem.DefaultHierarchy())
-	machine, err := runToLoop(prog, memory, loopStart)
-	if err != nil {
-		return 0, regionStats{}, err
-	}
-	engine, err := accel.NewEngine(be, l.Graph, s.Pos, l.LoopBranch, memory, hier)
-	if err != nil {
-		return 0, regionStats{}, err
-	}
-	res, err := engine.RunLoop(&machine.Regs, accel.LoopOptions{MaxIterations: 1024})
-	if err != nil {
-		return 0, regionStats{}, err
-	}
-	c := engine.Counters()
-	return res.AvgIterCycles, regionStats{
-		Prefetches: c.Prefetches, Forwarded: c.Forwarded,
-		Coalesced: c.Coalesced, StaticFwd: l.Forwarded,
-	}, nil
+	r := v.(*regionRun)
+	return r.avg, r.stats, nil
 }
 
 // ForwardingAblationResult measures static store-to-load forwarding on a
@@ -280,56 +274,69 @@ type ForwardingAblationResult struct {
 
 // ForwardingAblation builds `t[i] = f(t[i]); u[i] = g(t[i])` — store then
 // exact reload — and compares per-iteration latency with forwarding on/off.
+// Each run is memoized on the synthetic program plus the forwarding flag.
 func ForwardingAblation() (*ForwardingAblationResult, error) {
-	build := func() []isa.Inst {
-		b := asm.NewBuilder(kernels.CodeBase)
-		b.Label("loop")
-		b.FLW(isa.FPReg(0), 0, isa.RegA0)
-		b.FADD(isa.FPReg(1), isa.FPReg(0), isa.FPReg(0))
-		b.FSW(isa.FPReg(1), 0, isa.RegA1)
-		b.FLW(isa.FPReg(2), 0, isa.RegA1) // exact reload: forwarding target
-		b.FMUL(isa.FPReg(3), isa.FPReg(2), isa.FPReg(2))
-		b.FSW(isa.FPReg(3), 0, isa.RegA2)
-		b.ADDI(isa.RegA0, isa.RegA0, 4)
-		b.ADDI(isa.RegA1, isa.RegA1, 4)
-		b.ADDI(isa.RegA2, isa.RegA2, 4)
-		b.ADDI(isa.RegT0, isa.RegT0, 1)
-		b.BLT(isa.RegT0, isa.RegT1, "loop")
-		b.ECALL()
-		p := b.MustProgram()
-		return p.Slice(p.Symbols["loop"], p.Symbols["loop"]+4*11)
+	b := asm.NewBuilder(kernels.CodeBase)
+	b.Label("loop")
+	b.FLW(isa.FPReg(0), 0, isa.RegA0)
+	b.FADD(isa.FPReg(1), isa.FPReg(0), isa.FPReg(0))
+	b.FSW(isa.FPReg(1), 0, isa.RegA1)
+	b.FLW(isa.FPReg(2), 0, isa.RegA1) // exact reload: forwarding target
+	b.FMUL(isa.FPReg(3), isa.FPReg(2), isa.FPReg(2))
+	b.FSW(isa.FPReg(3), 0, isa.RegA2)
+	b.ADDI(isa.RegA0, isa.RegA0, 4)
+	b.ADDI(isa.RegA1, isa.RegA1, 4)
+	b.ADDI(isa.RegA2, isa.RegA2, 4)
+	b.ADDI(isa.RegT0, isa.RegT0, 1)
+	b.BLT(isa.RegT0, isa.RegT1, "loop")
+	b.ECALL()
+	prog := b.MustProgram()
+	body := prog.Slice(prog.Symbols["loop"], prog.Symbols["loop"]+4*11)
+
+	type fwdRun struct {
+		iterLat float64
+		elided  int
 	}
 	be := accel.M128()
 	res := &ForwardingAblationResult{}
 	for _, fwd := range []bool{true, false} {
-		l, err := core.BuildLDFGOpts(build(), be.EstimateLat, core.LDFGOptions{DisableForwarding: !fwd})
+		v, err := memoDoProgram("fwd", prog, func(w io.Writer) {
+			be.Fingerprint(w)
+			fmt.Fprintf(w, "|fwd%t|", fwd)
+		}, func() (any, error) {
+			l, err := core.BuildLDFGOpts(body, be.EstimateLat, core.LDFGOptions{DisableForwarding: !fwd})
+			if err != nil {
+				return nil, err
+			}
+			s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
+			if err != nil {
+				return nil, err
+			}
+			hier := mem.MustHierarchy(mem.DefaultHierarchy())
+			engine, err := accel.NewEngine(be, l.Graph, s.Pos, l.LoopBranch, mem.NewMemory(), hier)
+			if err != nil {
+				return nil, err
+			}
+			var regs [isa.NumRegs]uint32
+			regs[isa.RegA0] = kernels.ArrA
+			regs[isa.RegA1] = kernels.ArrB
+			regs[isa.RegA2] = kernels.ArrC
+			regs[isa.RegT1] = 512
+			r, err := engine.RunLoop(&regs, accel.LoopOptions{})
+			if err != nil {
+				return nil, err
+			}
+			return &fwdRun{iterLat: r.AvgIterCycles, elided: l.Forwarded}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
-		if err != nil {
-			return nil, err
-		}
-		memory := mem.NewMemory()
-		hier := mem.MustHierarchy(mem.DefaultHierarchy())
-		engine, err := accel.NewEngine(be, l.Graph, s.Pos, l.LoopBranch, memory, hier)
-		if err != nil {
-			return nil, err
-		}
-		var regs [isa.NumRegs]uint32
-		regs[isa.RegA0] = kernels.ArrA
-		regs[isa.RegA1] = kernels.ArrB
-		regs[isa.RegA2] = kernels.ArrC
-		regs[isa.RegT1] = 512
-		r, err := engine.RunLoop(&regs, accel.LoopOptions{})
-		if err != nil {
-			return nil, err
-		}
+		r := v.(*fwdRun)
 		if fwd {
-			res.WithIterLat = r.AvgIterCycles
-			res.LoadsElided = l.Forwarded
+			res.WithIterLat = r.iterLat
+			res.LoadsElided = r.elided
 		} else {
-			res.WithoutIterLat = r.AvgIterCycles
+			res.WithoutIterLat = r.iterLat
 		}
 	}
 	return res, nil
@@ -382,7 +389,8 @@ type TimeShareAblationResult struct {
 	M64Qualified  bool
 }
 
-// TimeShareAblation runs the extension study.
+// TimeShareAblation runs the extension study. Both runs are memoized
+// controller runs, verified like every RunMESA simulation.
 func TimeShareAblation() (*TimeShareAblationResult, error) {
 	k, err := kernels.ByName("srad")
 	if err != nil {
@@ -399,9 +407,7 @@ func TimeShareAblation() (*TimeShareAblationResult, error) {
 		opts.MapperOpts.TimeShare = share
 		opts.Detector.MaxInsts = 0
 		opts.Detector.ParallelLoops = map[uint32]bool{loopStart: true}
-		ctl := core.NewController(opts)
-		hier := mem.MustHierarchy(mem.DefaultHierarchy())
-		report, _, err := ctl.Run(prog, k.NewMemory(Seed), hier, MaxSteps)
+		report, err := mesaReport(k, be, prog, opts)
 		if err != nil {
 			return 0, false, err
 		}

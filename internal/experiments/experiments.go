@@ -146,14 +146,24 @@ func RunMESA(k *kernels.Kernel, be *accel.Config, cpuPerIter float64, o MESAOpti
 	if err != nil {
 		return nil, fmt.Errorf("%s on %s: %w", k.Name, be.Name, err)
 	}
-	opts := mesaControllerOptions(k, loopStart, be, o)
+	report, err := mesaReport(k, be, prog, mesaControllerOptions(k, loopStart, be, o))
+	if err != nil {
+		return nil, err
+	}
+	return deriveMESARun(k, be, cpuPerIter, report), nil
+}
+
+// mesaReport is the memoized controller run behind RunMESA and the
+// time-sharing ablation, keyed on the full controller options. The shared
+// Report must be treated as read-only.
+func mesaReport(k *kernels.Kernel, be *accel.Config, prog *isa.Program, opts core.Options) (*core.Report, error) {
 	v, err := memoDo("mesa", k, opts.Fingerprint, func() (any, error) {
 		return runMESAUncached(k, be, prog, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return deriveMESARun(k, be, cpuPerIter, v.(*core.Report)), nil
+	return v.(*core.Report), nil
 }
 
 // mesaControllerOptions translates a RunMESA invocation into controller

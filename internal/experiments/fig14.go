@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"mesa/internal/accel"
@@ -85,7 +86,7 @@ func Figure14() (*Figure14Result, error) {
 
 		// DynaSpAM: map the same loop body onto the in-core feed-forward
 		// array; non-loop instructions stay on the core.
-		dyn, err := dynaSpamCycles(k, cpuPerIter)
+		dyn, err := dynaSpamCycles(k)
 		if err != nil {
 			return Figure14Row{}, err
 		}
@@ -113,29 +114,40 @@ func Figure14() (*Figure14Result, error) {
 	return res, nil
 }
 
-// dynaSpamCycles models the kernel's hot loop on the DynaSpAM array.
-// Returns 0 when the loop does not qualify.
-func dynaSpamCycles(k *kernels.Kernel, cpuPerIter float64) (float64, error) {
-	prog, loopStart, err := k.Program()
-	if err != nil {
-		return 0, err
-	}
+// dynaSpamCycles models the kernel's hot loop on the DynaSpAM array,
+// memoized under the "dynaspam" kind. Returns 0 when the loop does not
+// qualify.
+func dynaSpamCycles(k *kernels.Kernel) (float64, error) {
 	be := accel.M64()
-	l, err := core.BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
+	cfg := dynaspam.Default()
+	v, err := memoDo("dynaspam", k, func(w io.Writer) {
+		be.Fingerprint(w)
+		fmt.Fprintf(w, "|dynaspam|%+v|", cfg)
+	}, func() (any, error) {
+		prog, loopStart, err := k.Program()
+		if err != nil {
+			return nil, err
+		}
+		l, err := core.BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
+		if err != nil {
+			return nil, err
+		}
+		r, err := dynaspam.Map(l.Graph, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if !r.Qualified {
+			return 0.0, nil
+		}
+		// Configuration on DynaSpAM is near-free (ns-range, within the
+		// pipeline); charge a small fixed mapping window plus the loop.
+		const dynaConfig = 200.0
+		return dynaConfig + r.LoopCycles(uint64(k.N)), nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	r, err := dynaspam.Map(l.Graph, dynaspam.Default())
-	if err != nil {
-		return 0, err
-	}
-	if !r.Qualified {
-		return 0, nil
-	}
-	// Configuration on DynaSpAM is near-free (ns-range, within the
-	// pipeline); charge a small fixed mapping window plus the loop.
-	const dynaConfig = 200.0
-	return dynaConfig + r.LoopCycles(uint64(k.N)), nil
+	return v.(float64), nil
 }
 
 // Render prints the figure.

@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"mesa/internal/accel"
 	"mesa/internal/core"
 	"mesa/internal/energy"
-	"mesa/internal/isa"
 	"mesa/internal/kernels"
-	"mesa/internal/mem"
-	"mesa/internal/sim"
 )
 
 // Figure16Point is one point of the amortization curve.
@@ -38,6 +36,10 @@ type Figure16Result struct {
 	PaperAmortizedAt uint64 // ≈70
 }
 
+// figure16Checkpoints are the iteration counts at which Figure 16 accounts
+// energy.
+var figure16Checkpoints = []uint64{1, 2, 4, 8, 16, 32, 48, 64, 96, 128, 192, 256, 512, 1024}
+
 // Figure16 runs the experiment by executing nn region batches of increasing
 // length on the accelerator and accounting energy after each batch.
 func Figure16() (*Figure16Result, error) {
@@ -45,53 +47,29 @@ func Figure16() (*Figure16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, loopStart, err := k.Program()
-	if err != nil {
-		return nil, err
-	}
 	be := accel.M128()
 
-	// Build the mapped region directly so iteration counts can be swept.
-	l, err := core.BuildLDFG(prog.LoopBody(loopStart), be.EstimateLat)
+	// Map the region directly so iteration counts can be swept.
+	m, err := mapLoop(k, be, core.DefaultMapperOptions())
 	if err != nil {
 		return nil, err
 	}
-	sdfg, stats, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
-	if err != nil {
-		return nil, err
+	if m.mapErr != nil {
+		return nil, m.mapErr
 	}
-	cost := core.EstimateConfigCost(l, stats, 1)
+	cost := core.EstimateConfigCost(m.l, &m.stats, 1)
 	configNJ := energy.ConfigEnergy(float64(cost.Total()), be.ClockGHz)
 	// Configuration also burns accelerator leakage while the array waits.
 	configNJ += energy.AccelEnergy(be, accel.Activity{Cycles: float64(cost.Total())}).LeakageNJ
 
-	// Seed architectural state the way the CPU would deliver it: run the
-	// program up to the loop entry.
-	memory := k.NewMemory(Seed)
-	hier := mem.MustHierarchy(mem.DefaultHierarchy())
-	machine, err := runToLoop(prog, memory, loopStart)
+	activity, err := figure16Activity(k, be, m)
 	if err != nil {
 		return nil, err
 	}
-
-	engine, err := accel.NewEngine(be, l.Graph, sdfg.Pos, l.LoopBranch, memory, hier)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &Figure16Result{ConfigNJ: configNJ, PaperAmortizedAt: 70}
-	checkpoints := []uint64{1, 2, 4, 8, 16, 32, 48, 64, 96, 128, 192, 256, 512, 1024}
-	var done uint64
-	for _, cp := range checkpoints {
-		if cp > uint64(k.N) {
-			break
-		}
-		if _, err := engine.RunLoop(&machine.Regs, accel.LoopOptions{MaxIterations: cp - done}); err != nil {
-			return nil, err
-		}
-		done = cp
-		b := energy.AccelEnergy(be, engine.Activity())
-		cum := configNJ + b.TotalNJ()
+	for i, a := range activity {
+		cp := figure16Checkpoints[i]
+		cum := configNJ + energy.AccelEnergy(be, a).TotalNJ()
 		res.Points = append(res.Points, Figure16Point{
 			Iterations: cp, PerIterNJ: cum / float64(cp), CumulativeNJ: cum,
 		})
@@ -112,16 +90,36 @@ func Figure16() (*Figure16Result, error) {
 	return res, nil
 }
 
-// runToLoop executes the program functionally until PC reaches the loop
-// entry, yielding the architectural state the CPU hands to the accelerator.
-func runToLoop(prog *isa.Program, memory *mem.Memory, loopStart uint32) (*sim.Machine, error) {
-	machine := sim.New(prog, memory)
-	for machine.PC != loopStart {
-		if err := machine.Step(); err != nil {
+// figure16Activity runs the mapped loop from its entry, one batch per
+// checkpoint within the trip count, and returns the engine's cumulative
+// activity after each. The engine run is memoized under the "fig16" kind.
+func figure16Activity(k *kernels.Kernel, be *accel.Config, m *loopMapping) ([]accel.Activity, error) {
+	v, err := memoDo("fig16", k, func(w io.Writer) {
+		be.Fingerprint(w)
+		fmt.Fprintf(w, "|checkpoints%v|", figure16Checkpoints)
+	}, func() (any, error) {
+		engine, machine, err := loopEngine(k, be, m.l, m.s.Pos)
+		if err != nil {
 			return nil, err
 		}
+		var activity []accel.Activity
+		var done uint64
+		for _, cp := range figure16Checkpoints {
+			if cp > uint64(k.N) {
+				break
+			}
+			if _, err := engine.RunLoop(&machine.Regs, accel.LoopOptions{MaxIterations: cp - done}); err != nil {
+				return nil, err
+			}
+			done = cp
+			activity = append(activity, engine.Activity())
+		}
+		return activity, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return machine, nil
+	return v.([]accel.Activity), nil
 }
 
 // Render prints the amortization curve.

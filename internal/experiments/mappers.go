@@ -10,7 +10,6 @@ import (
 	"mesa/internal/core"
 	"mesa/internal/kernels"
 	"mesa/internal/mapping"
-	"mesa/internal/mem"
 )
 
 // The suite-wide default placement strategy. mesabench/mesasim set it once
@@ -149,10 +148,6 @@ func mappersRow(k *kernels.Kernel) (MappersRow, error) {
 
 func mappersRowUncached(k *kernels.Kernel) (MappersRow, error) {
 	be := accel.M128()
-	prog, loopStart, err := k.Program()
-	if err != nil {
-		return MappersRow{}, fmt.Errorf("%s: %w", k.Name, err)
-	}
 	body, err := regionFor(k)
 	if err != nil {
 		return MappersRow{}, err
@@ -160,27 +155,6 @@ func mappersRowUncached(k *kernels.Kernel) (MappersRow, error) {
 	l, err := core.BuildLDFG(body, be.EstimateLat)
 	if err != nil {
 		return MappersRow{}, fmt.Errorf("%s: %w", k.Name, err)
-	}
-
-	// measure runs one placement serially on the engine from fresh seeded
-	// state and returns the converged per-iteration cost plus the
-	// bottleneck-attribution report of the run.
-	measure := func(s *core.SDFG) (float64, *accel.Attribution, error) {
-		memory := k.NewMemory(Seed)
-		hier := mem.MustHierarchy(mem.DefaultHierarchy())
-		machine, err := runToLoop(prog, memory, loopStart)
-		if err != nil {
-			return 0, nil, err
-		}
-		engine, err := accel.NewEngine(be, l.Graph, s.Pos, l.LoopBranch, memory, hier)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, err := engine.RunLoop(&machine.Regs, accel.LoopOptions{MaxIterations: mapperMeasureIters})
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.AvgIterCycles, res.Attrib, nil
 	}
 
 	row := MappersRow{Kernel: k.Name}
@@ -204,12 +178,16 @@ func mappersRowUncached(k *kernels.Kernel) (MappersRow, error) {
 			}
 			return MappersRow{}, fmt.Errorf("%s/%s: %w", k.Name, name, err)
 		}
-		avg, attrib, err := measure(s)
+		// Measure the placement serially from fresh seeded state: the
+		// converged per-iteration cost plus the run's bottleneck
+		// attribution.
+		res, _, err := measureLoop(k, be, l, s.Pos, mapperMeasureIters)
 		if err != nil {
 			return MappersRow{}, fmt.Errorf("%s/%s: %w", k.Name, name, err)
 		}
+		avg := res.AvgIterCycles
 		if name == mapperAblationOrder[0] {
-			greedyAttrib = attrib
+			greedyAttrib = res.Attrib
 		}
 		cell := MapperCell{
 			Strategy:       name,

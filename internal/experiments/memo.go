@@ -17,12 +17,15 @@ import (
 )
 
 // simMemo is the cross-experiment simulation-result cache: figures, tables,
-// ablations, and mesad requests repeatedly time the same (program,
-// configuration) pair, and every such simulation is deterministic — same
+// ablations, and mesad requests repeatedly time (or map) the same (program,
+// configuration) pair, and every such computation is deterministic — same
 // assembled program, same seeded memory, same config, same result. Entries
 // are keyed by a content hash of the assembled program bytes plus the full
 // timing-relevant configuration fingerprint, so a hit is only possible when
-// the simulation would be bit-for-bit identical.
+// the simulation would be bit-for-bit identical. Every simulation and
+// mapping of the evaluation sweep goes through it, so a warm sweep runs
+// none; only the worked examples of Figures 2 and 4, a few instructions
+// each, compute directly.
 //
 // The cache is single-flight: concurrent requests for the same key run the
 // simulation once and share the result. That makes the hit/miss counters
@@ -62,7 +65,7 @@ type memoEntry struct {
 }
 
 // DefaultSimMemoCapacity bounds the in-memory cache. The full experiment
-// sweep creates a few hundred distinct entries, so the default never evicts
+// sweep creates 281 distinct entries, so the default never evicts
 // during benchmarking (keeping the hit/miss counters worker-count-invariant)
 // while still bounding a long-running mesad process.
 const DefaultSimMemoCapacity = 4096
@@ -227,11 +230,20 @@ func (c *memoCache) do(key string, f func() (any, error)) (any, error) {
 	return ent.val, ent.err
 }
 
-// memoDo wraps a simulation in the cache. kind namespaces the entry point
-// ("cpu1", "cpuN", "mesa", "raw.*"); fill appends the configuration
-// fingerprint to the key hash. If the cache is disabled or the kernel's
-// program cannot be assembled, f runs uncached (the latter so error wrapping
-// stays exactly as before).
+// memoDo wraps a simulation in the cache. kind namespaces the entry point:
+//
+//	"cpu1", "cpuN"  single-core and multicore CPU timing
+//	"mesa"          a controller run (RunMESA, the time-sharing ablation)
+//	"map"           a hot loop's greedy placement (mapLoop)
+//	"imapfsm"       Figure 8's cycle-by-cycle replay of that placement
+//	"region"        Ablation C's serial engine run
+//	"fig16"         Figure 16's checkpointed engine run
+//	"dynaspam"      Figure 14's DynaSpAM mapping
+//	"mappers"       one kernel's row of the mapper-strategy ablation
+//
+// fill appends the configuration fingerprint to the key hash. If the cache
+// is disabled or the kernel's program cannot be assembled, f runs uncached
+// (the latter so error wrapping stays exactly as before).
 func memoDo(kind string, k *kernels.Kernel, fill func(io.Writer), f func() (any, error)) (any, error) {
 	if !memoEnabled.Load() {
 		return f()
@@ -243,9 +255,11 @@ func memoDo(kind string, k *kernels.Kernel, fill func(io.Writer), f func() (any,
 	return simMemo.do(key, f)
 }
 
-// memoDoProgram is memoDo for raw programs that have no kernel identity:
-// mesad accepts arbitrary RV32IMF words, keyed purely by their content hash
-// plus the configuration fingerprint.
+// memoDoProgram is memoDo for programs that have no kernel identity, keyed
+// purely by their content hash plus the configuration fingerprint: mesad's
+// arbitrary RV32IMF words ("raw.*" kinds) and Ablation C2's synthetic
+// store-then-reload loop ("fwd"). Their words are hashed on every lookup;
+// nothing is retained per program.
 func memoDoProgram(kind string, prog *isa.Program, fill func(io.Writer), f func() (any, error)) (any, error) {
 	if !memoEnabled.Load() {
 		return f()
@@ -265,13 +279,17 @@ func memoDoProgram(kind string, prog *isa.Program, fill func(io.Writer), f func(
 // addresses are fully determined by these), the global simulation bounds,
 // and the caller-supplied configuration fingerprint.
 func memoKey(kind string, k *kernels.Kernel, fill func(io.Writer)) (string, error) {
-	prog, _, err := k.Program()
+	prog, words, err := k.ProgramWords()
 	if err != nil {
 		return "", err
 	}
 	return memoKeyFromFill(kind, func(h io.Writer) {
 		fmt.Fprintf(h, "%s|%d|%t|base%d|", k.Name, k.N, k.Parallel, prog.Base)
-		hashProgram(h, prog)
+		if words != nil {
+			h.Write(words) // the bytes hashProgram would write, encoded once per build
+		} else {
+			hashProgram(h, prog)
+		}
 		fmt.Fprintf(h, "|seed%d|steps%d|", Seed, MaxSteps)
 		fill(h)
 	}), nil

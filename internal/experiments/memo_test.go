@@ -7,87 +7,45 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
 	"mesa/internal/accel"
+	"mesa/internal/core"
 	"mesa/internal/cpu"
 	"mesa/internal/isa"
 	"mesa/internal/kernels"
 )
 
-// sweepOutputs renders the full experiment set — every figure, Table 2, the
-// ablations, the attribution report, and the BENCH snapshot JSON — into one
-// name→bytes map for byte comparison.
-func sweepOutputs(t *testing.T) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	add := func(name string, f func() (string, error)) {
-		t.Helper()
-		s, err := f()
+// rendered adapts an experiment to a render function.
+func rendered[T interface{ Render() string }](experiment func() (T, error)) func() (string, error) {
+	return func() (string, error) {
+		r, err := experiment()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			return "", err
 		}
-		out[name] = s
+		return r.Render(), nil
 	}
-	add("fig11", func() (string, error) {
-		r, err := Figure11()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("fig12", func() (string, error) {
-		r, err := Figure12()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("fig13", func() (string, error) {
-		r, err := Figure13()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("fig14", func() (string, error) {
-		r, err := Figure14()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("fig15", func() (string, error) {
-		r, err := Figure15()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("fig16", func() (string, error) {
-		r, err := Figure16()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("table2", func() (string, error) {
-		r, err := Table2()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("ablations", RenderAblations)
-	add("attrib", func() (string, error) {
-		r, err := Attrib()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("BENCH.json", func() (string, error) {
+}
+
+// sweepRenders is the full experiment set — every simulated figure, Table
+// 2, the ablations, the attribution report, and the BENCH snapshot JSON.
+var sweepRenders = []struct {
+	name   string
+	render func() (string, error)
+}{
+	{"fig8", rendered(Figure8)},
+	{"fig11", rendered(Figure11)},
+	{"fig12", rendered(Figure12)},
+	{"fig13", rendered(Figure13)},
+	{"fig14", rendered(Figure14)},
+	{"fig15", rendered(Figure15)},
+	{"fig16", rendered(Figure16)},
+	{"table2", rendered(Table2)},
+	{"ablations", RenderAblations},
+	{"attrib", rendered(Attrib)},
+	{"BENCH.json", func() (string, error) {
 		snap, err := CollectBench()
 		if err != nil {
 			return "", err
@@ -97,7 +55,24 @@ func sweepOutputs(t *testing.T) map[string]string {
 			return "", err
 		}
 		return buf.String(), nil
-	})
+	}},
+}
+
+// sweepOutputs renders the named experiments of sweepRenders, or all of
+// them when none is named, into one name→bytes map for byte comparison.
+func sweepOutputs(t testing.TB, names ...string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, e := range sweepRenders {
+		if len(names) > 0 && !slices.Contains(names, e.name) {
+			continue
+		}
+		s, err := e.render()
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		out[e.name] = s
+	}
 	return out
 }
 
@@ -141,6 +116,108 @@ func TestSimMemoDifferential(t *testing.T) {
 	if byName["sim_cache_hits"] == 0 {
 		t.Error("warm sweep recorded no cache hits")
 	}
+}
+
+// BenchmarkWarmSweep times one serial evaluation sweep against a warm memo.
+// Every simulation and mapping is a memo hit, so what it measures is key
+// hashing, lookups, derivation and rendering.
+func BenchmarkWarmSweep(b *testing.B) {
+	defer SetWorkers(SetWorkers(1))
+	ResetSimMemo()
+	defer ResetSimMemo()
+	sweepOutputs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweepOutputs(b)
+	}
+}
+
+// directlyMemoized are the experiments that map loops and run the engine
+// themselves rather than through RunMESA and the CPU timing entry points.
+var directlyMemoized = []string{"ablations", "table2", "fig8", "fig16"}
+
+// TestSweepMemoDifferential: the ablations, Table 2, Figure 8 and Figure 16
+// render byte-identically from a cold memo, a warm memo and with the memo
+// disabled; the warm render is served entirely from the memo (no new
+// misses); and the cold miss count is the same at one worker and at two.
+func TestSweepMemoDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cold/warm/uncached renders in -short mode")
+	}
+	defer SetWorkers(SetWorkers(1))
+	defer SetSimMemoEnabled(true)
+	defer ResetSimMemo()
+	var want map[string]string
+	misses := map[int]float64{}
+	for _, workers := range []int{1, 2} {
+		SetWorkers(workers)
+		ResetSimMemo()
+		cold := sweepOutputs(t, directlyMemoized...)
+		misses[workers] = memoMetric(t, "sim_cache_misses")
+		warm := sweepOutputs(t, directlyMemoized...)
+		if got := memoMetric(t, "sim_cache_misses"); got != misses[workers] {
+			t.Errorf("workers=%d: warm render recorded %v new misses", workers, got-misses[workers])
+		}
+		SetSimMemoEnabled(false)
+		uncached := sweepOutputs(t, directlyMemoized...)
+		SetSimMemoEnabled(true)
+		if want == nil {
+			want = cold
+		}
+		for name, w := range want {
+			for state, got := range map[string]map[string]string{"cold": cold, "warm": warm, "uncached": uncached} {
+				if got[name] != w {
+					t.Errorf("workers=%d: %s %s render differs", workers, state, name)
+				}
+			}
+		}
+	}
+	if misses[1] != misses[2] {
+		t.Errorf("cold misses depend on workers: %v at 1, %v at 2", misses[1], misses[2])
+	}
+}
+
+// TestMemoKeySeparation checks the ablations' memo keys: every knob an
+// ablation turns gets its own entry, and configurations that coincide share
+// one.
+func TestMemoKeySeparation(t *testing.T) {
+	defer ResetSimMemo()
+	nk := float64(len(kernels.All()))
+	step := func(name string, run func() error, want float64) {
+		t.Helper()
+		before := memoMetric(t, "sim_cache_misses")
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := memoMetric(t, "sim_cache_misses") - before; got != want {
+			t.Errorf("%s: %v new memo entries, want %v", name, got, want)
+		}
+	}
+
+	// Forwarding, prefetch and vectorize: 4 configurations × 6 kernels.
+	ResetSimMemo()
+	step("memopt", func() error { _, err := MemOptAblation(); return err }, 24)
+	step("memopt again", func() error { _, err := MemOptAblation(); return err }, 0)
+
+	// Window dims: four distinct mappings per kernel.
+	step("window", func() error { _, err := WindowAblation(); return err }, 4*nk)
+	// Tie-break on is the 4×8 window; only tie-break off is new.
+	step("tie-break", func() error { _, err := TieBreakAblation(); return err }, nk)
+	// Half-ring is M-128's own interconnect; mesh and row-slice are new.
+	step("interconnect", func() error { _, err := InterconnectAblation(); return err }, 2*nk)
+	// Time-share: M-64 shared and M-128 spatial controller runs.
+	step("time-share", func() error { _, err := TimeShareAblation(); return err }, 2)
+	step("forwarding", func() error { _, err := ForwardingAblation(); return err }, 2)
+
+	// Time-sharing is a mapper knob of its own.
+	k, err := kernels.ByName("srad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultMapperOptions()
+	opts.TimeShare = 2
+	step("map time-share", func() error { _, err := mapLoop(k, accel.M128(), opts); return err }, 1)
 }
 
 // TestSimMemoSingleFlight pins the concurrency contract: N concurrent

@@ -89,23 +89,18 @@ func Table2() (*Table2Result, error) {
 	}
 	costs, err := runAll(len(ks), func(i int) (kernelCost, error) {
 		k := ks[i]
-		body, err := regionFor(k)
+		m, err := mapLoop(k, be, core.DefaultMapperOptions())
 		if err != nil {
 			return kernelCost{}, err
 		}
-		l, err := core.BuildLDFG(body, be.EstimateLat)
-		if err != nil {
-			return kernelCost{}, err
-		}
-		_, stats, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
-		if err != nil {
+		if m.mapErr != nil {
 			return kernelCost{name: k.Name}, nil // region does not map on this backend
 		}
 		tiles := 1
 		if k.Parallel {
 			tiles = 8
 		}
-		return kernelCost{name: k.Name, total: core.EstimateConfigCost(l, stats, tiles).Total(), mapped: true}, nil
+		return kernelCost{name: k.Name, total: core.EstimateConfigCost(m.l, &m.stats, tiles).Total(), mapped: true}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -226,23 +221,26 @@ func Figure8() (*Figure8Result, error) {
 		return nil, err
 	}
 	be := accel.M128()
-	body, err := regionFor(k)
+	opts := core.DefaultMapperOptions()
+	m, err := mapLoop(k, be, opts)
 	if err != nil {
 		return nil, err
 	}
-	l, err := core.BuildLDFG(body, be.EstimateLat)
-	if err != nil {
-		return nil, err
+	if m.mapErr != nil {
+		return nil, m.mapErr
 	}
-	_, stats, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
-	if err != nil {
-		return nil, err
-	}
+	l, stats := m.l, &m.stats
 	cost := core.EstimateConfigCost(l, stats, 1)
-	tr, _, err := core.SimulateImapFSM(l, be, core.DefaultMapperOptions())
+	// The FSM replay maps the loop again, cycle by cycle: memoized too.
+	key := core.Options{Backend: be, MapperOpts: opts}
+	v, err := memoDo("imapfsm", k, key.Fingerprint, func() (any, error) {
+		tr, _, err := core.SimulateImapFSM(l, be, opts)
+		return tr, err
+	})
 	if err != nil {
 		return nil, err
 	}
+	tr := v.(*core.ImapTrace)
 	return &Figure8Result{
 		Kernel:          k.Name,
 		Instructions:    l.Graph.Len(),

@@ -12,6 +12,7 @@
 package kernels
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -77,6 +78,7 @@ type progKey struct {
 type progVal struct {
 	prog      *isa.Program
 	loopStart uint32
+	words     []byte // prog's encoded words, little-endian; nil if one does not encode
 	err       error
 }
 
@@ -88,22 +90,48 @@ type progVal struct {
 var progCache sync.Map // progKey -> progVal
 
 // buildCached assembles iterations [lo, hi), memoized.
-func (k *Kernel) buildCached(lo, hi int) (*isa.Program, uint32, error) {
+func (k *Kernel) buildCached(lo, hi int) progVal {
 	key := progKey{k.Name, lo, hi}
 	if v, ok := progCache.Load(key); ok {
-		pv := v.(progVal)
-		return pv.prog, pv.loopStart, pv.err
+		return v.(progVal)
 	}
-	prog, loopStart, err := k.build(lo, hi)
-	v, _ := progCache.LoadOrStore(key, progVal{prog, loopStart, err})
-	pv := v.(progVal)
-	return pv.prog, pv.loopStart, pv.err
+	var pv progVal
+	pv.prog, pv.loopStart, pv.err = k.build(lo, hi)
+	if pv.err == nil {
+		pv.words = encodeWords(pv.prog)
+	}
+	v, _ := progCache.LoadOrStore(key, pv)
+	return v.(progVal)
+}
+
+// encodeWords returns prog's instructions as little-endian 32-bit words, or
+// nil when some instruction has no encoding.
+func encodeWords(prog *isa.Program) []byte {
+	words := make([]byte, 0, 4*len(prog.Insts))
+	for _, in := range prog.Insts {
+		enc, err := isa.Encode(in)
+		if err != nil {
+			return nil
+		}
+		words = binary.LittleEndian.AppendUint32(words, enc)
+	}
+	return words
 }
 
 // Program returns the full-range program and the hot loop's start address.
 // The build is memoized; callers must treat the program as read-only.
 func (k *Kernel) Program() (*isa.Program, uint32, error) {
-	return k.buildCached(0, k.N)
+	pv := k.buildCached(0, k.N)
+	return pv.prog, pv.loopStart, pv.err
+}
+
+// ProgramWords returns the full-range program with its instructions encoded
+// as little-endian 32-bit words, the program's content address. The words
+// are encoded once per build and must be treated as read-only; they are nil
+// when some instruction has no encoding.
+func (k *Kernel) ProgramWords() (*isa.Program, []byte, error) {
+	pv := k.buildCached(0, k.N)
+	return pv.prog, pv.words, pv.err
 }
 
 // MustProgram is Program but panics on a build error, for the statically
@@ -122,7 +150,8 @@ func (k *Kernel) MustProgram() (*isa.Program, uint32) {
 func (k *Kernel) ChunkProgram(chunk, chunks int) (*isa.Program, uint32, error) {
 	lo := chunk * k.N / chunks
 	hi := (chunk + 1) * k.N / chunks
-	return k.buildCached(lo, hi)
+	pv := k.buildCached(lo, hi)
+	return pv.prog, pv.loopStart, pv.err
 }
 
 // MustChunkProgram is ChunkProgram but panics on a build error.
