@@ -20,8 +20,8 @@
 // every counter surface of the run as one JSON report. -cpuprofile and
 // -memprofile write Go pprof profiles of the simulator itself.
 //
-// Bad usage (unknown flags, a missing kernel, -cores or -timeshare below 1)
-// exits 2; simulation, file and stdout write failures exit 1.
+// Bad usage (unknown flags, a missing kernel, -cores below 1, -timeshare
+// outside 1 to 255) exits 2; simulation, file and stdout write failures exit 1.
 package main
 
 import (
@@ -78,7 +78,7 @@ func realMain(args []string, out, errw io.Writer) int {
 	fs.IntVar(&o.cores, "cores", 16, "CPU baseline core count")
 	fs.BoolVar(&o.noTiling, "no-tiling", false, "disable spatial tiling")
 	fs.BoolVar(&o.noPipeline, "no-pipeline", false, "disable iteration pipelining")
-	fs.IntVar(&o.timeShare, "timeshare", 1, "time-multiplexing extension: max instructions per PE")
+	fs.IntVar(&o.timeShare, "timeshare", 1, "time-multiplexing extension: max instructions per PE (1 to 255)")
 	fs.BoolVar(&o.explain, "explain", false, "print the bottleneck attribution report per accelerated region")
 	fs.StringVar(&o.traceFile, "trace", "", "write the MESA run as Chrome trace-event JSON to this file")
 	fs.StringVar(&o.statsFile, "stats", "", "write the unified metrics report as JSON to this file")
@@ -95,8 +95,8 @@ func realMain(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "mesasim: invalid -cores %d (want >= 1)\n", o.cores)
 		return 2
 	}
-	if o.timeShare < 1 {
-		fmt.Fprintf(errw, "mesasim: invalid -timeshare %d (want >= 1)\n", o.timeShare)
+	if o.timeShare < 1 || o.timeShare > mapping.MaxTimeShare {
+		fmt.Fprintf(errw, "mesasim: invalid -timeshare %d (want 1 to %d)\n", o.timeShare, mapping.MaxTimeShare)
 		return 2
 	}
 	if !*list && fs.NArg() != 1 {

@@ -30,6 +30,8 @@ func TestRealMainExitCodes(t *testing.T) {
 		{"zero cores", []string{"-cores", "0", "nn"}, 2, "invalid -cores 0", ""},
 		{"negative cores", []string{"-cores", "-3", "nn"}, 2, "invalid -cores -3", ""},
 		{"zero timeshare", []string{"-timeshare", "0", "nn"}, 2, "invalid -timeshare 0", ""},
+		{"timeshare above max", []string{"-timeshare", "256", "nn"}, 2, "invalid -timeshare 256", ""},
+		{"max timeshare", []string{"-cores", "4", "-timeshare", "255", "nn"}, 0, "", "timeshare-bound"},
 		{"unknown kernel", []string{"nope"}, 1, "nope", ""},
 		{"unknown backend", []string{"-backend", "M-99", "nn"}, 1, `unknown backend "M-99"`, ""},
 		{"unknown mapper", []string{"-mapper", "nope", "nn"}, 1, "nope", ""},

@@ -62,3 +62,36 @@ func TestConfigFingerprintDistinguishesEveryField(t *testing.T) {
 		t.Error("fingerprint is not deterministic for identical configs")
 	}
 }
+
+// TestConfigFingerprintGolden pins the fingerprint bytes of the paper's
+// three configurations and of variants with every other interconnect and
+// fractional floats. The memo and mesad's response store key on these
+// bytes, so any rewrite of Fingerprint must reproduce them exactly.
+func TestConfigFingerprintGolden(t *testing.T) {
+	variant := M128()
+	variant.Name = "M-128 rowslice"
+	variant.Interconnect = noc.DefaultRowSlice()
+	variant.OpLat[isa.ClassFPMul] = 5.25
+	variant.LoadLatEstimate = 3.5
+	variant.ClockGHz = 1.5
+	variant.EnableVectorization = true
+	mesh, ideal := M64(), M64()
+	mesh.Interconnect, ideal.Interconnect = noc.Mesh{}, noc.Ideal{}
+
+	cases := []struct {
+		cfg  *Config
+		want string
+	}{
+		{M64(), "accel|M-64|16|4|2|2|noc.HalfRing{SliceSize:4 LocalReach:1 InjectLat:2 RouterLat:1}|2|6|[0 1 3 12 0 0 1 1 3 5 16 0]|3|8|true|false|2"},
+		{M128(), "accel|M-128|16|8|2|2|noc.HalfRing{SliceSize:4 LocalReach:1 InjectLat:2 RouterLat:1}|2|8|[0 1 3 12 0 0 1 1 3 5 16 0]|3|8|true|false|2"},
+		{M512(), "accel|M-512|64|8|2|2|noc.HalfRing{SliceSize:4 LocalReach:1 InjectLat:2 RouterLat:1}|2|16|[0 1 3 12 0 0 1 1 3 5 16 0]|3|8|true|false|2"},
+		{variant, "accel|M-128 rowslice|16|8|2|2|noc.RowSlice{InRow:1 CrossRow:3}|2|8|[0 1 3 12 0 0 1 1 3 5.25 16 0]|3.5|8|true|true|1.5"},
+		{mesh, "accel|M-64|16|4|2|2|noc.Mesh{}|2|6|[0 1 3 12 0 0 1 1 3 5 16 0]|3|8|true|false|2"},
+		{ideal, "accel|M-64|16|4|2|2|noc.Ideal{}|2|6|[0 1 3 12 0 0 1 1 3 5 16 0]|3|8|true|false|2"},
+	}
+	for _, tc := range cases {
+		if got := configPrint(tc.cfg); got != tc.want {
+			t.Errorf("%s fingerprint:\n got %q\nwant %q", tc.cfg.Name, got, tc.want)
+		}
+	}
+}

@@ -119,3 +119,41 @@ func TestFingerprintExcludesMechanismKnobs(t *testing.T) {
 		t.Error("MapperOpts.Sticky perturbs the fingerprint; it is per-call mechanism state like Attrib")
 	}
 }
+
+// TestFingerprintGolden pins the option fingerprint bytes of the M-128
+// defaults under every registered strategy, and of an M-64 variant with
+// parallel loops and non-default mapper options. The memo keys on these
+// bytes, so any rewrite of Fingerprint must reproduce them exactly.
+func TestFingerprintGolden(t *testing.T) {
+	const m128 = "core|accel|M-128|16|8|2|2|noc.HalfRing{SliceSize:4 LocalReach:1 InjectLat:2 RouterLat:1}|2|8|[0 1 3 12 0 0 1 1 3 5 16 0]|3|8|true|false|2|det|192|3|3|true|"
+	want := map[string]string{
+		"auto":          m128 + "map|auto|4|8|false|1|0|32|3|true|true",
+		"congestion":    m128 + "map|congestion|4|8|false|1|0|32|3|true|true",
+		"greedy":        m128 + "map|greedy|4|8|false|1|0|32|3|true|true",
+		"greedy+anneal": m128 + "map|greedy+anneal|4|8|false|1|0|32|3|true|true",
+		"modulo":        m128 + "map|modulo|4|8|false|1|0|32|3|true|true",
+	}
+	for _, name := range mapping.Names() {
+		strat, err := mapping.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := DefaultOptions(accel.M128())
+		o.Mapper = strat
+		if got, ok := want[name]; !ok {
+			t.Errorf("strategy %q has no golden fingerprint", name)
+		} else if fp := fingerprintOf(t, &o); fp != got {
+			t.Errorf("%s fingerprint:\n got %q\nwant %q", name, fp, got)
+		}
+	}
+
+	o := DefaultOptions(accel.M64())
+	o.Detector.ParallelLoops = map[uint32]bool{0x2040: true, 0x1000: true, 0x3000: false}
+	o.MapperOpts.TimeShare = 4
+	o.MapperOpts.Tiles = 2
+	o.MapperOpts.DisableTieBreak = true
+	const variant = "core|accel|M-64|16|4|2|2|noc.HalfRing{SliceSize:4 LocalReach:1 InjectLat:2 RouterLat:1}|2|6|[0 1 3 12 0 0 1 1 3 5 16 0]|3|8|true|false|2|det|128|3|3|true|p4096|p8256|map|greedy|4|8|true|4|2|32|3|true|true"
+	if fp := fingerprintOf(t, &o); fp != variant {
+		t.Errorf("M-64 variant fingerprint:\n got %q\nwant %q", fp, variant)
+	}
+}

@@ -40,34 +40,52 @@ type Eval struct {
 // the edge model. Nodes are in program order and all dependencies point
 // backward, so a single forward sweep suffices.
 func (g *Graph) Evaluate(edge EdgeLatencyFunc) *Eval {
-	ev := &Eval{
-		Completion: make([]float64, len(g.Nodes)),
-		critParent: make([]NodeID, len(g.Nodes)),
-		critTail:   None,
+	ev := &Eval{}
+	g.EvaluateInto(ev, edge)
+	return ev
+}
+
+// EvaluateInto is Evaluate writing into ev, reusing its slices when they are
+// large enough, so a caller evaluating many placements of one graph
+// allocates nothing after the first call. Each node's dependencies are
+// visited in Parents order.
+func (g *Graph) EvaluateInto(ev *Eval, edge EdgeLatencyFunc) {
+	n := len(g.Nodes)
+	if cap(ev.Completion) < n || cap(ev.critParent) < n {
+		ev.Completion = make([]float64, n)
+		ev.critParent = make([]NodeID, n)
 	}
-	var scratch []Edge
+	ev.Completion, ev.critParent = ev.Completion[:n], ev.critParent[:n]
+	clear(ev.Completion)
+	ev.Total, ev.critTail = 0, None
+	measured := len(g.edgeLat) > 0
 	for i := range g.Nodes {
-		n := &g.Nodes[i]
+		nd := &g.Nodes[i]
 		arrival := 0.0
 		ev.critParent[i] = None
-		scratch = n.Parents(scratch[:0])
-		for _, e := range scratch {
-			lat, ok := g.MeasuredEdgeLatency(e.From, e.To)
-			if !ok {
-				lat = edge(e.From, e.To)
+		deps := [6]NodeID{nd.Src[0], nd.Src[1], nd.Src[2], nd.MemDep, nd.PredDep, nd.CtrlDep}
+		for _, from := range deps {
+			if from == None {
+				continue
 			}
-			if a := ev.Completion[e.From] + lat; a > arrival {
+			lat, ok := 0.0, false
+			if measured {
+				lat, ok = g.MeasuredEdgeLatency(from, nd.ID)
+			}
+			if !ok {
+				lat = edge(from, nd.ID)
+			}
+			if a := ev.Completion[from] + lat; a > arrival {
 				arrival = a
-				ev.critParent[i] = e.From
+				ev.critParent[i] = from
 			}
 		}
-		ev.Completion[i] = arrival + n.OpLat
+		ev.Completion[i] = arrival + nd.OpLat
 		if ev.critTail == None || ev.Completion[i] > ev.Total {
 			ev.Total = ev.Completion[i]
 			ev.critTail = NodeID(i)
 		}
 	}
-	return ev
 }
 
 // CriticalPath returns the node IDs of the critical path in program order:

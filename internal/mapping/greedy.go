@@ -74,6 +74,8 @@ func (m *Mapper) Map(l *LDFG, be *accel.Config) (*SDFG, *MapStats, error) {
 	s := newSDFG(l, be, share)
 	stats := &MapStats{Nodes: g.Len()}
 	var scratch []dfg.Edge
+	// candidates is one buffer every node's candidate scan reuses.
+	var candidates []noc.Coord
 
 	// seedCursor provides anchors for nodes with no placed parents; it
 	// sweeps rows so independent chains spread across the grid.
@@ -103,18 +105,17 @@ func (m *Mapper) Map(l *LDFG, be *accel.Config) (*SDFG, *MapStats, error) {
 		}
 
 		isMem := (n.Inst.IsLoad() || n.Inst.IsStore()) && !n.Fwd
-		var candidates []noc.Coord
 		if isMem {
-			candidates = m.edgeCandidates(s, anchor)
+			candidates = m.edgeCandidates(candidates[:0], s, anchor)
 		} else {
 			if anchor == unplacedCoord {
 				anchor = noc.Coord{Row: seedRow % be.Rows, Col: 0}
 				seedRow += 2
 			}
-			candidates = m.windowCandidates(s, n, anchor)
+			candidates = m.windowCandidates(candidates[:0], s, n, anchor)
 			if len(candidates) == 0 {
 				stats.FullSearches++
-				candidates = m.fullCandidates(s, n)
+				candidates = m.fullCandidates(candidates[:0], s, n)
 			}
 		}
 		stats.CandidatesScanned += len(candidates)
@@ -167,6 +168,9 @@ func (m *Mapper) Map(l *LDFG, be *accel.Config) (*SDFG, *MapStats, error) {
 // C1–C3 can still fail during mapping). Shared by every mapping strategy so
 // a region rejected by one is rejected identically by all.
 func validateCapacity(l *LDFG, be *accel.Config, share int) error {
+	if share > MaxTimeShare {
+		return fmt.Errorf("mapping: time-share factor %d exceeds the maximum %d", share, MaxTimeShare)
+	}
 	g := l.Graph
 	if cap := share * be.MaxInstructions(); g.Len() > cap {
 		return fmt.Errorf("mapping: region of %d instructions exceeds backend capacity %d", g.Len(), cap)
@@ -240,10 +244,10 @@ func (m *Mapper) latencyAt(s *SDFG, n *dfg.Node, c noc.Coord) float64 {
 	return arrival + n.OpLat
 }
 
-// windowCandidates generates the fixed candidate matrix C_i: a
+// windowCandidates appends to dst the fixed candidate matrix C_i: a
 // WindowRows×WindowCols region centered on the anchor, filtered by F_free
 // and F_op (occupancy and capability masks).
-func (m *Mapper) windowCandidates(s *SDFG, n *dfg.Node, anchor noc.Coord) []noc.Coord {
+func (m *Mapper) windowCandidates(dst []noc.Coord, s *SDFG, n *dfg.Node, anchor noc.Coord) []noc.Coord {
 	be := s.Backend
 	cls := ClassOf(n)
 	r0 := anchor.Row - m.opts.WindowRows/2
@@ -251,7 +255,7 @@ func (m *Mapper) windowCandidates(s *SDFG, n *dfg.Node, anchor noc.Coord) []noc.
 	// Clamp the window to the grid, preserving its size where possible.
 	r0 = clamp(r0, 0, be.Rows-m.opts.WindowRows)
 	c0 = clamp(c0, 0, be.Cols-m.opts.WindowCols)
-	out := make([]noc.Coord, 0, m.opts.WindowRows*m.opts.WindowCols)
+	out := dst
 	for r := r0; r < r0+m.opts.WindowRows; r++ {
 		for c := c0; c < c0+m.opts.WindowCols; c++ {
 			pos := noc.Coord{Row: r, Col: c}
@@ -263,12 +267,12 @@ func (m *Mapper) windowCandidates(s *SDFG, n *dfg.Node, anchor noc.Coord) []noc.
 	return out
 }
 
-// fullCandidates scans the whole grid (the widened search used before the
-// bus fallback).
-func (m *Mapper) fullCandidates(s *SDFG, n *dfg.Node) []noc.Coord {
+// fullCandidates appends to dst every free capable PE of the whole grid
+// (the widened search used before the bus fallback).
+func (m *Mapper) fullCandidates(dst []noc.Coord, s *SDFG, n *dfg.Node) []noc.Coord {
 	be := s.Backend
 	cls := ClassOf(n)
-	var out []noc.Coord
+	out := dst
 	for r := 0; r < be.Rows; r++ {
 		for c := 0; c < be.Cols; c++ {
 			pos := noc.Coord{Row: r, Col: c}
@@ -280,29 +284,29 @@ func (m *Mapper) fullCandidates(s *SDFG, n *dfg.Node) []noc.Coord {
 	return out
 }
 
-// edgeCandidates lists free load/store entry slots. When an anchor exists,
-// slots are restricted to a band of rows around it (the LSU analog of the
-// fixed window); otherwise all free slots are candidates.
-func (m *Mapper) edgeCandidates(s *SDFG, anchor noc.Coord) []noc.Coord {
+// edgeCandidates appends to dst the free load/store entry slots. When an
+// anchor exists, slots are restricted to a band of rows around it (the LSU
+// analog of the fixed window); otherwise all free slots are candidates.
+func (m *Mapper) edgeCandidates(dst []noc.Coord, s *SDFG, anchor noc.Coord) []noc.Coord {
 	be := s.Backend
 	lo, hi := 0, be.Rows-1
 	if anchor != unplacedCoord {
 		lo = clamp(anchor.Row-m.opts.WindowRows, 0, be.Rows-1)
 		hi = clamp(anchor.Row+m.opts.WindowRows, 0, be.Rows-1)
 	}
-	var out []noc.Coord
+	out := dst
 	for r := lo; r <= hi; r++ {
-		for _, col := range be.EdgeColumns() {
+		for _, col := range s.edgeCols {
 			pos := noc.Coord{Row: r, Col: col}
 			if s.free(pos) {
 				out = append(out, pos)
 			}
 		}
 	}
-	if len(out) == 0 && anchor != unplacedCoord {
+	if len(out) == len(dst) && anchor != unplacedCoord {
 		// Band exhausted: widen to every edge slot.
 		for r := 0; r < be.Rows; r++ {
-			for _, col := range be.EdgeColumns() {
+			for _, col := range s.edgeCols {
 				pos := noc.Coord{Row: r, Col: col}
 				if s.free(pos) {
 					out = append(out, pos)

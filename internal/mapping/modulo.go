@@ -153,6 +153,7 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 		overflow bool // no conflict-free slot found in the bounded search
 	}
 	var ties []choice
+	var candidates []noc.Coord
 
 	// nocInputs counts the input edges of n that would ride the shared NoC
 	// if n sat at c, mirroring PredictedII's edge accounting (control edges
@@ -179,13 +180,12 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 		isMem := sched.IsMemOp(n)
 		scratch = n.Parents(scratch[:0])
 
-		var candidates []noc.Coord
 		if isMem {
-			candidates = m.edgeCandidates(s, unplacedCoord)
+			candidates = m.edgeCandidates(candidates[:0], s, unplacedCoord)
 		} else {
 			// The modulo scheduler is a software pass: it always searches
 			// the whole grid rather than the hardware's fixed window.
-			candidates = m.fullCandidates(s, n)
+			candidates = m.fullCandidates(candidates[:0], s, n)
 		}
 		stats.CandidatesScanned += len(candidates)
 		stats.ReductionCycles += ReductionDepth(len(candidates))

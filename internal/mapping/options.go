@@ -6,6 +6,10 @@ import "mesa/internal/accel"
 // (greedy+anneal, modulo), so every run reproduces the same placement.
 const placementSeed = 0
 
+// MaxTimeShare is the largest Options.TimeShare any strategy accepts: the
+// SDFG counts the occupants of each unit in a byte.
+const MaxTimeShare = 255
+
 // Options tunes Algorithm 1's hardware parameters and carries the optional
 // inputs that refinement strategies consume. The zero values of the extra
 // fields leave every strategy's greedy seed bit-identical to the paper's
@@ -24,7 +28,8 @@ type Options struct {
 	// future work): the maximum number of instructions sharing one PE or
 	// load/store entry. 1 (the default) is the paper's pure spatial
 	// mapping; 2 lets regions up to twice the array size map, at the cost
-	// of serialized execution on shared units.
+	// of serialized execution on shared units. Every strategy rejects
+	// values above MaxTimeShare.
 	TimeShare int
 
 	// Tiles is the tile count the placement will run under; refinement

@@ -34,6 +34,13 @@ const LiveInLat = 1
 // 2D position (task T2's output). It binds each node to a virtual coordinate
 // on the backend and serves as MESA's internal architecture model: the
 // performance model evaluated over it predicts accelerator behaviour.
+//
+// Occupancy is a dense count per unit, kept in step with Pos by place and
+// unplace. Unit (row, col) — a PE for 0 ≤ col < Cols, a load/store entry
+// on the EdgeDepth columns either side — is slot
+// row·(Cols+2·EdgeDepth) + col + EdgeDepth. Counts are bytes, so a unit
+// holds at most MaxTimeShare instructions. Who sits where (At, Occupants,
+// String) is derived from Pos on demand, in node-ID order.
 type SDFG struct {
 	Backend *accel.Config
 	LDFG    *LDFG
@@ -50,7 +57,12 @@ type SDFG struct {
 	// mapping as in the paper; >1 enables the time-multiplexing extension).
 	shareLimit int
 
-	grid map[noc.Coord][]dfg.NodeID
+	// occ counts the nodes on each unit, indexed by slot.
+	occ []uint8
+	// stride is the slot count of one row: Cols + 2·EdgeDepth.
+	stride int
+	// edgeCols is Backend.EdgeColumns(), fetched once for the scans.
+	edgeCols []int
 }
 
 func newSDFG(l *LDFG, be *accel.Config, shareLimit int) *SDFG {
@@ -58,12 +70,15 @@ func newSDFG(l *LDFG, be *accel.Config, shareLimit int) *SDFG {
 		shareLimit = 1
 	}
 	n := l.Graph.Len()
+	stride := be.Cols + 2*be.EdgeDepth
 	s := &SDFG{
 		Backend: be, LDFG: l,
 		Pos:        make([]noc.Coord, n),
 		Completion: make([]float64, n),
 		shareLimit: shareLimit,
-		grid:       make(map[noc.Coord][]dfg.NodeID, n),
+		occ:        make([]uint8, be.Rows*stride),
+		stride:     stride,
+		edgeCols:   be.EdgeColumns(),
 	}
 	for i := range s.Pos {
 		s.Pos[i] = unplacedCoord
@@ -71,58 +86,77 @@ func newSDFG(l *LDFG, be *accel.Config, shareLimit int) *SDFG {
 	return s
 }
 
+// slot indexes a PE or load/store entry in occ.
+func (s *SDFG) slot(c noc.Coord) int { return c.Row*s.stride + c.Col + s.Backend.EdgeDepth }
+
 // Placed reports whether node id has a position (grid, edge, or bus).
 func (s *SDFG) Placed(id dfg.NodeID) bool { return s.Pos[id] != unplacedCoord }
 
 // OnBus reports whether node id fell back to the secondary bus.
 func (s *SDFG) OnBus(id dfg.NodeID) bool { return s.Pos[id] == BusCoord }
 
-// At returns the first node occupying a coordinate, if any.
+// At returns the lowest-numbered node occupying a coordinate, if any.
 func (s *SDFG) At(c noc.Coord) (dfg.NodeID, bool) {
-	ids := s.grid[c]
-	if len(ids) == 0 {
-		return dfg.None, false
+	if ids := s.Occupants(c); len(ids) > 0 {
+		return ids[0], true
 	}
-	return ids[0], true
+	return dfg.None, false
 }
 
-// Occupants returns every node assigned to a coordinate (more than one only
-// with the time-multiplexing extension).
-func (s *SDFG) Occupants(c noc.Coord) []dfg.NodeID { return s.grid[c] }
+// Occupants returns every node assigned to a coordinate in node-ID order
+// (more than one only with the time-multiplexing extension). Bus-resident
+// nodes occupy no coordinate.
+func (s *SDFG) Occupants(c noc.Coord) []dfg.NodeID {
+	if c == BusCoord || c == unplacedCoord {
+		return nil
+	}
+	var ids []dfg.NodeID
+	for id, p := range s.Pos {
+		if p == c {
+			ids = append(ids, dfg.NodeID(id))
+		}
+	}
+	return ids
+}
 
-// free reports whether the coordinate can accept another instruction
-// (F_free; with time-sharing, up to shareLimit occupants).
+// free reports whether the coordinate, a PE or load/store entry, can accept
+// another instruction (F_free; with time-sharing, up to shareLimit
+// occupants).
 func (s *SDFG) free(c noc.Coord) bool {
-	return len(s.grid[c]) < s.shareLimit
+	return int(s.occ[s.slot(c)]) < s.shareLimit
 }
 
 func (s *SDFG) place(id dfg.NodeID, c noc.Coord) {
 	s.Pos[id] = c
 	if c != BusCoord {
-		s.grid[c] = append(s.grid[c], id)
+		s.occ[s.slot(c)]++
 	}
 }
 
-// unplace removes a node from its position, deleting emptied grid entries so
-// occupancy-derived figures (Utilization, String) stay exact. Refinement
-// strategies use unplace/place pairs to explore alternative placements.
+// unplace removes a node from its position. Refinement strategies use
+// unplace/place pairs to explore alternative placements.
 func (s *SDFG) unplace(id dfg.NodeID) {
-	c := s.Pos[id]
-	if c != BusCoord && c != unplacedCoord {
-		ids := s.grid[c]
-		for i, occ := range ids {
-			if occ == id {
-				ids = append(ids[:i], ids[i+1:]...)
-				break
-			}
-		}
-		if len(ids) == 0 {
-			delete(s.grid, c)
-		} else {
-			s.grid[c] = ids
-		}
+	if c := s.Pos[id]; c != BusCoord && c != unplacedCoord {
+		s.occ[s.slot(c)]--
 	}
 	s.Pos[id] = unplacedCoord
+}
+
+// clone deep-copies the placement (positions, estimates, and occupancy);
+// the backend and graph are shared, immutable inputs.
+func (s *SDFG) clone() *SDFG {
+	c := *s
+	c.Pos = append([]noc.Coord(nil), s.Pos...)
+	c.Completion = append([]float64(nil), s.Completion...)
+	c.occ = append([]uint8(nil), s.occ...)
+	return &c
+}
+
+// copyPlacement overwrites s's positions and occupancy with o's, reusing
+// s's storage; o must be a placement of the same graph on the same backend.
+func (s *SDFG) copyPlacement(o *SDFG) {
+	copy(s.Pos, o.Pos)
+	copy(s.occ, o.occ)
 }
 
 // EdgeLatency is the placement-derived transfer-latency model used to
@@ -159,46 +193,79 @@ func (s *SDFG) Evaluate() *dfg.Eval {
 // optimizer uses it to judge whether a candidate remapping would improve
 // throughput (for parallel loops) rather than just iteration latency, and
 // the greedy+anneal strategy uses it as its refinement cost function.
+// Only the NoC term depends on the placement (see iiModel).
 func (s *SDFG) PredictedII(tiles int) float64 {
+	return s.newIIModel(tiles).predict(s)
+}
+
+// iiModel is PredictedII split at the placement boundary, so a refinement
+// loop pays only for what a move can change. floor holds the
+// placement-invariant terms: the recurrence bound RecMII/tiles and the
+// memory-port bound (memory nodes / MemPorts). The NoC term is the only one
+// that depends on placement: it counts, over the non-control edges, those
+// with a bus-resident end or a half-ring route over the network. An iiModel
+// is valid for one graph while its OpLat weights are unchanged, so it is
+// built per Map call and never cached across calls (engine feedback
+// rewrites OpLat between optimization rounds). A placement-dependent
+// RecMII, such as a recurrence chain that includes measured edge transfer
+// latency, belongs in predict, not in floor.
+type iiModel struct {
+	tiles int
+	floor float64
+	// edges lists the graph's non-control edges in Parents order.
+	edges      []dfg.Edge
+	hr         noc.HalfRing
+	isHalfRing bool
+	// nocLanes is the NoC transfer capacity per cycle: lanes per row × rows.
+	nocLanes int
+}
+
+func (s *SDFG) newIIModel(tiles int) *iiModel {
 	if tiles < 1 {
 		tiles = 1
 	}
 	g := s.LDFG.Graph
 	be := s.Backend
+	m := &iiModel{tiles: tiles}
 
-	rec := sched.RecMII(g, nodeOpLat, true)
-	ii := rec / float64(tiles)
-
-	if m := float64(len(s.LDFG.MemNodes())) / float64(be.MemPorts); m > ii {
-		ii = m
+	m.floor = sched.RecMII(g, nodeOpLat, true) / float64(tiles)
+	if mp := float64(len(s.LDFG.MemNodes())) / float64(be.MemPorts); mp > m.floor {
+		m.floor = mp
 	}
 
-	nocN := 0
-	hr, isHalfRing := be.Interconnect.(noc.HalfRing)
-	var scratch []dfg.Edge
-	for i := range g.Nodes {
-		scratch = g.Nodes[i].Parents(scratch[:0])
-		for _, e := range scratch {
-			if e.Kind == dfg.DepCtrl {
-				continue
-			}
-			switch {
-			case s.OnBus(e.From) || s.OnBus(e.To):
-				nocN++
-			case isHalfRing && hr.UsesNoC(s.Pos[e.From], s.Pos[e.To]):
-				nocN++
-			}
+	edges := g.Edges(nil)
+	m.edges = edges[:0]
+	for _, e := range edges {
+		if e.Kind != dfg.DepCtrl {
+			m.edges = append(m.edges, e)
 		}
 	}
+	m.hr, m.isHalfRing = be.Interconnect.(noc.HalfRing)
 	lanes := be.NoCLanesPerRow
 	if lanes < 1 {
 		lanes = 1
 	}
-	if n := float64(nocN) / float64(lanes*be.Rows); n > ii {
+	m.nocLanes = lanes * be.Rows
+	return m
+}
+
+// predict completes the model for s's current placement.
+func (m *iiModel) predict(s *SDFG) float64 {
+	nocN := 0
+	for _, e := range m.edges {
+		from, to := s.Pos[e.From], s.Pos[e.To]
+		switch {
+		case from == BusCoord || to == BusCoord:
+			nocN++
+		case m.isHalfRing && m.hr.UsesNoC(from, to):
+			nocN++
+		}
+	}
+	ii := m.floor
+	if n := float64(nocN) / float64(m.nocLanes); n > ii {
 		ii = n
 	}
-
-	if floor := 1.0 / float64(tiles); ii < floor {
+	if floor := 1.0 / float64(m.tiles); ii < floor {
 		ii = floor
 	}
 	return ii
@@ -219,13 +286,16 @@ func (s *SDFG) DiffersFrom(o *SDFG) bool {
 
 // Utilization reports the fraction of PEs occupied by compute nodes.
 func (s *SDFG) Utilization() float64 {
+	be := s.Backend
 	used := 0
-	for c := range s.grid {
-		if s.Backend.InBounds(c) {
-			used++
+	for r := 0; r < be.Rows; r++ {
+		for c := 0; c < be.Cols; c++ {
+			if s.occ[s.slot(noc.Coord{Row: r, Col: c})] > 0 {
+				used++
+			}
 		}
 	}
-	return float64(used) / float64(s.Backend.NumPEs())
+	return float64(used) / float64(be.NumPEs())
 }
 
 // String renders the grid occupancy for debugging and the mesamap tool.
@@ -235,7 +305,7 @@ func (s *SDFG) String() string {
 	for r := 0; r < s.Backend.Rows; r++ {
 		// Left edge (load/store entries).
 		writeCell := func(c noc.Coord) {
-			switch ids := s.grid[c]; len(ids) {
+			switch ids := s.Occupants(c); len(ids) {
 			case 0:
 				b.WriteString("   .")
 			case 1:

@@ -12,7 +12,7 @@ import (
 
 // hotLoop extracts a kernel's hot-loop body (the same slice the experiments
 // package maps).
-func hotLoop(t *testing.T, k *kernels.Kernel) *mapping.LDFG {
+func hotLoop(t testing.TB, k *kernels.Kernel) *mapping.LDFG {
 	t.Helper()
 	be := accel.M128()
 	prog, loopStart, err := k.Program()
@@ -174,5 +174,43 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	}
 	if mapping.Default().Name() != "greedy" {
 		t.Errorf("Default() = %q, want greedy", mapping.Default().Name())
+	}
+}
+
+// TestTimeShareBound: every strategy maps with a time-share factor up to
+// MaxTimeShare and rejects one above it, since occupancy counts are bytes.
+func TestTimeShareBound(t *testing.T) {
+	k, err := kernels.ByName("nn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := hotLoop(t, k)
+	cases := []struct {
+		share int
+		ok    bool
+	}{
+		{0, true}, // treated as 1
+		{1, true},
+		{4, true},
+		{mapping.MaxTimeShare, true},
+		{mapping.MaxTimeShare + 1, false},
+		{1 << 20, false},
+	}
+	for _, name := range mapping.Names() {
+		strat, err := mapping.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			o := mapping.DefaultOptions()
+			o.TimeShare = tc.share
+			_, _, err := strat.Map(l, accel.M128(), o)
+			if ok := err == nil; ok != tc.ok {
+				t.Errorf("%s TimeShare %d: error %v, want ok=%v", name, tc.share, err, tc.ok)
+			}
+			if err != nil && !strings.Contains(err.Error(), "time-share") {
+				t.Errorf("%s TimeShare %d: error %q does not name the time-share bound", name, tc.share, err)
+			}
+		}
 	}
 }
