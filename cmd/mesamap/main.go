@@ -83,15 +83,8 @@ func run(w io.Writer, name, backendName, mapperName string, emitDot bool) error 
 	if err != nil {
 		return err
 	}
-	var be *accel.Config
-	switch backendName {
-	case "M-64":
-		be = accel.M64()
-	case "M-128":
-		be = accel.M128()
-	case "M-512":
-		be = accel.M512()
-	default:
+	be, ok := accel.ByName(backendName)
+	if !ok {
 		return fmt.Errorf("unknown backend %q", backendName)
 	}
 

@@ -186,15 +186,8 @@ func run(w io.Writer, name string, o options) error {
 	if err != nil {
 		return err
 	}
-	var be *accel.Config
-	switch o.backend {
-	case "M-64":
-		be = accel.M64()
-	case "M-128":
-		be = accel.M128()
-	case "M-512":
-		be = accel.M512()
-	default:
+	be, ok := accel.ByName(o.backend)
+	if !ok {
 		return fmt.Errorf("unknown backend %q", o.backend)
 	}
 

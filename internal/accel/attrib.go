@@ -9,6 +9,7 @@ import (
 
 	"mesa/internal/dfg"
 	"mesa/internal/isa"
+	"mesa/internal/sched"
 )
 
 // AttribSchemaVersion identifies the attribution report layout. Bump it when
@@ -133,33 +134,24 @@ func (e *Engine) Explain(opts LoopOptions) *Attribution {
 		// bottleneck. Report the dependence bound's floor of one cycle —
 		// matching InitiationInterval's documented degenerate return — with
 		// all four candidates present (the other three at zero).
-		a.Chosen, a.II = "dependence", 1
-		a.Bounds = []CandidateII{
-			{Name: "dependence", II: 1, Limiting: true},
-			{Name: "memports"}, {Name: "noc"}, {Name: "timeshare"},
-		}
+		a.setBounds(sched.Bounds{Dependence: 1}, tiles)
 		return a
 	}
 
-	// Dependence-recurrence MII (see InitiationInterval): every live-out
-	// register consumed as a live-in closes a cycle through its producer.
-	recMII := 1.0
-	for r, id := range e.g.LiveOut {
-		if !e.liveInUsed(r) {
-			continue
+	// Recurrence nodes and the dependence MII, at measured latency where the
+	// node fired and the configured estimate otherwise.
+	lat := func(n *dfg.Node) float64 {
+		if k := e.counters.OpLatN[n.ID]; k > 0 {
+			return e.counters.OpLatSum[n.ID] / float64(k)
 		}
-		n := e.g.Node(id)
-		lat := e.cfg.EstimateLat(n.Inst)
-		if e.counters.OpLatN[id] > 0 {
-			lat = e.counters.OpLatSum[id] / float64(e.counters.OpLatN[id])
-		}
-		a.Recurrence = append(a.Recurrence, RecurrenceNode{
-			Node: int(id), Op: n.Inst.Op.String(), Reg: r.String(), Lat: lat,
-		})
-		if lat+1 > recMII {
-			recMII = lat + 1 // +1: transfer back to the consumer's input
-		}
+		return e.cfg.EstimateLat(n.Inst)
 	}
+	sched.Recurrences(e.g, true, func(r isa.Reg, id dfg.NodeID) {
+		n := e.g.Node(id)
+		a.Recurrence = append(a.Recurrence, RecurrenceNode{
+			Node: int(id), Op: n.Inst.Op.String(), Reg: r.String(), Lat: lat(n),
+		})
+	})
 	sort.Slice(a.Recurrence, func(i, j int) bool {
 		if a.Recurrence[i].Lat != a.Recurrence[j].Lat {
 			return a.Recurrence[i].Lat > a.Recurrence[j].Lat
@@ -169,39 +161,15 @@ func (e *Engine) Explain(opts LoopOptions) *Attribution {
 	if len(a.Recurrence) > maxRecurrenceNodes {
 		a.Recurrence = a.Recurrence[:maxRecurrenceNodes]
 	}
-	depII := recMII / float64(tiles)
 
-	// Resource MIIs, identical to InitiationInterval's model.
+	b := sched.Bounds{Dependence: sched.RecMII(e.g, lat, true) / float64(tiles)}
 	memPerIter := float64(e.counters.Loads+e.counters.Stores-e.counters.Forwarded-e.counters.Coalesced) / iters
-	memII := memPerIter / float64(e.cfg.MemPorts)
-	nocPerIter := float64(e.counters.NoCTransfers) / iters
-	lanes := float64(max(1, e.cfg.NoCLanesPerRow) * e.cfg.Rows)
-	nocII := nocPerIter / lanes
-
-	ii, bound := depII, "dependence"
-	if memII > ii {
-		ii, bound = memII, "memports"
-	}
-	if nocII > ii {
-		ii, bound = nocII, "noc"
-	}
-	tsII := 0.0
+	b.MemPorts = memPerIter / float64(e.cfg.MemPorts)
+	b.NoC = float64(e.counters.NoCTransfers) / iters / float64(e.cfg.NoCLanes()*e.cfg.Rows)
 	if e.timeShared {
-		tsII = e.maxUnitWork
-		if tsII > ii {
-			ii, bound = tsII, "timeshare"
-		}
+		b.TimeShare = e.maxUnitWork
 	}
-	if ii < a.FloorII {
-		ii = a.FloorII
-	}
-	a.Chosen, a.II = bound, ii
-	a.Bounds = []CandidateII{
-		{Name: "dependence", II: depII, Limiting: bound == "dependence"},
-		{Name: "memports", II: memII, Limiting: bound == "memports"},
-		{Name: "noc", II: nocII, Limiting: bound == "noc"},
-		{Name: "timeshare", II: tsII, Limiting: bound == "timeshare"},
-	}
+	a.setBounds(b, tiles)
 
 	a.PEs = e.peUtilization()
 	a.NoCRows = e.rowOccupancy()
@@ -209,21 +177,14 @@ func (e *Engine) Explain(opts LoopOptions) *Attribution {
 	return a
 }
 
-// liveInUsed reports whether register r is read as a live-in anywhere in
-// the graph (including predication live-ins).
-func (e *Engine) liveInUsed(r isa.Reg) bool {
-	for i := range e.g.Nodes {
-		n := &e.g.Nodes[i]
-		for k := 0; k < 3; k++ {
-			if n.Src[k] == dfg.None && n.LiveIn[k] == r {
-				return true
-			}
-		}
-		if n.PredLiveIn == r {
-			return true
-		}
+// setBounds records the candidate bounds and the II and bound they select.
+func (a *Attribution) setBounds(b sched.Bounds, tiles int) {
+	a.II, a.Chosen = b.II(tiles)
+	a.Bounds = make([]CandidateII, len(sched.BoundNames))
+	for i, ii := range b.Values() {
+		name := sched.BoundNames[i]
+		a.Bounds[i] = CandidateII{Name: name, II: ii, Limiting: name == a.Chosen}
 	}
-	return false
 }
 
 // peUtilization groups the per-node latency counters by configured unit
@@ -265,7 +226,7 @@ func (e *Engine) peUtilization() []PEUtil {
 // rowOccupancy reports each grid row's NoC lane occupancy. Rows with no
 // transfers are included so the heatmap covers the whole array.
 func (e *Engine) rowOccupancy() []RowOccupancy {
-	lanes := max(1, e.cfg.NoCLanesPerRow)
+	lanes := e.cfg.NoCLanes()
 	out := make([]RowOccupancy, e.cfg.Rows)
 	for r := range out {
 		out[r] = RowOccupancy{Row: r, Lanes: lanes}

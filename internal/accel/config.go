@@ -110,6 +110,19 @@ func M128() *Config {
 	}
 }
 
+// ByName returns the named preset configuration: M-64, M-128 or M-512.
+func ByName(name string) (*Config, bool) {
+	switch name {
+	case "M-64":
+		return M64(), true
+	case "M-128":
+		return M128(), true
+	case "M-512":
+		return M512(), true
+	}
+	return nil, false
+}
+
 // M512 returns the 512-PE configuration (64×8 grid).
 func M512() *Config {
 	c := M128()
@@ -162,6 +175,9 @@ func WithPEs(n int) *Config {
 
 // NumPEs reports the number of processing elements.
 func (c *Config) NumPEs() int { return c.Rows * c.Cols }
+
+// NoCLanes reports the NoC lanes per grid row, at least 1.
+func (c *Config) NoCLanes() int { return max(1, c.NoCLanesPerRow) }
 
 // LSUEntries reports the number of load/store entries.
 func (c *Config) LSUEntries() int { return 2 * c.EdgeDepth * c.Rows }

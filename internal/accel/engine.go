@@ -257,7 +257,7 @@ func NewEngine(cfg *Config, g *dfg.Graph, pos []noc.Coord, loopBranch dfg.NodeID
 		PortWait:     make([]float64, cfg.MemPorts),
 	}
 	e.routes = e.buildRoutes()
-	e.lanes = max(1, cfg.NoCLanesPerRow)
+	e.lanes = cfg.NoCLanes()
 	e.laneFree = make([]float64, cfg.Rows*e.lanes)
 	for _, p := range pos {
 		if cfg.InBounds(p) {

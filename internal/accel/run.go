@@ -6,6 +6,7 @@ import (
 
 	"mesa/internal/dfg"
 	"mesa/internal/isa"
+	"mesa/internal/sched"
 )
 
 // LoopOptions selects the execution mode for an accelerated loop region.
@@ -108,11 +109,7 @@ func (e *Engine) finishLoop(res *LoopResult, opts LoopOptions) {
 	if opts.Pipelined || opts.Tiles > 1 {
 		res.II = res.Attrib.II
 		res.Bound = res.Attrib.Chosen
-		if res.Iterations > 1 {
-			res.TotalCycles = res.AvgIterCycles + float64(res.Iterations-1)*res.II
-		} else {
-			res.TotalCycles = res.AvgIterCycles
-		}
+		res.TotalCycles = sched.PipelinedCycles(res.AvgIterCycles, res.II, res.Iterations)
 	}
 }
 

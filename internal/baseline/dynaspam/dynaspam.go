@@ -14,6 +14,7 @@ import (
 
 	"mesa/internal/dfg"
 	"mesa/internal/isa"
+	"mesa/internal/sched"
 )
 
 // Config describes the in-core feed-forward array.
@@ -145,34 +146,12 @@ func Map(g *dfg.Graph, cfg Config) (*Result, error) {
 
 	// Steady-state II with speculation: limited by LSU ports and the
 	// loop-carried recurrence.
-	memOps := 0
-	for i := range g.Nodes {
-		if g.Nodes[i].Inst.IsMem() && !g.Nodes[i].Fwd {
-			memOps++
-		}
-	}
 	ii := iterLat // without speculation the array drains per iteration
 	if cfg.Speculative {
-		ii = float64(memOps) / float64(cfg.MemPorts)
-		liveIn := make(map[isa.Reg]bool)
-		for i := range g.Nodes {
-			n := &g.Nodes[i]
-			for k := 0; k < 3; k++ {
-				if n.Src[k] == dfg.None && n.LiveIn[k] != isa.RegNone {
-					liveIn[n.LiveIn[k]] = true
-				}
-			}
-		}
-		for r, id := range g.LiveOut {
-			if liveIn[r] {
-				if l := cfg.latOf(g.Node(id)) + 1; l > ii {
-					ii = l
-				}
-			}
-		}
-		if ii < 1 {
-			ii = 1
-		}
+		ii, _ = sched.Bounds{
+			Dependence: sched.RecMII(g, cfg.latOf, false),
+			MemPorts:   float64(sched.MemOps(g)) / float64(cfg.MemPorts),
+		}.II(1)
 	}
 
 	return &Result{Qualified: true, IterLat: iterLat, II: ii, Depth: maxLevel + 1}, nil
@@ -183,8 +162,5 @@ func (r *Result) LoopCycles(n uint64) float64 {
 	if !r.Qualified || n == 0 {
 		return 0
 	}
-	if n == 1 {
-		return r.IterLat
-	}
-	return r.IterLat + float64(n-1)*r.II
+	return sched.PipelinedCycles(r.IterLat, r.II, n)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mesa/internal/accel"
-	"mesa/internal/dfg"
 	"mesa/internal/isa"
 	"mesa/internal/mapping"
 	"mesa/internal/mem"
@@ -340,8 +339,9 @@ func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumReg
 		rr := &RegionReport{
 			Region: region, LDFG: ldfg, SDFG: sdfg, Stats: &MapStats{},
 			Tiles: tiles, ConfigCacheHit: true,
-			ConfigCost: ConfigCost{ConfigWrite: tiles * cfgCyclesPerNode * ldfg.Graph.Len(), Transfer: transferCycles},
+			ConfigCost: ConfigCost{ConfigWrite: tiles * configStreamCycles(ldfg), Transfer: transferCycles},
 		}
+		rr.OverheadCycles = float64(rr.ConfigCost.Total())
 		report.Regions = append(report.Regions, rr)
 		return &configuredRegion{region: region, ldfg: ldfg, sdfg: sdfg, stats: rr.Stats, tiles: tiles, report: rr}, nil
 	}
@@ -414,33 +414,20 @@ func (c *Controller) chooseTiles(region *Region, ldfg *LDFG, stats *MapStats, ho
 	if horizon <= 0 {
 		horizon = defaultPlanningHorizon
 	}
-	nodes := ldfg.Graph.Len()
-	edges := len(ldfg.Graph.Edges(nil))
-	cfgPerTile := float64(cfgCyclesPerNode*nodes + cfgCyclesPerEdge*edges)
-	memII := float64(len(ldfg.MemNodes())) / float64(be.MemPorts)
-	rec := recurrenceMII(ldfg.Graph)
+	cfgPerTile := float64(configStreamCycles(ldfg))
+	memII := float64(sched.MemOps(ldfg.Graph)) / float64(be.MemPorts)
+	rec := sched.RecMII(ldfg.Graph, sched.OpLat, true)
 
 	best, bestCost := 1, 0.0
 	for t := 1; t <= tiles; t++ {
-		ii := rec / float64(t)
-		if memII > ii {
-			ii = memII
-		}
-		if floor := 1.0 / float64(t); ii < floor {
-			ii = floor
-		}
+		// No NoC term: tiles are chosen before the tiled placement exists.
+		ii, _ := sched.Bounds{Dependence: rec / float64(t), MemPorts: memII}.II(t)
 		cost := cfgPerTile*float64(t) + horizon*ii
 		if t == 1 || cost < bestCost {
 			best, bestCost = t, cost
 		}
 	}
 	return best
-}
-
-// recurrenceMII returns the loop-carried recurrence bound: the largest
-// weight of a node whose output register feeds the next iteration.
-func recurrenceMII(g *dfg.Graph) float64 {
-	return sched.RecMII(g, func(n *dfg.Node) float64 { return n.OpLat }, true)
 }
 
 // offload transfers control to the accelerator for one full loop execution,

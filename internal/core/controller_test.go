@@ -114,7 +114,8 @@ func TestControllerM64RejectsSRAD(t *testing.T) {
 }
 
 // TestControllerConfigCacheHit re-enters the same loop twice; the second
-// encounter must hit the configuration cache.
+// encounter must hit the configuration cache and pay the same
+// configuration write as the first.
 func TestControllerConfigCacheHit(t *testing.T) {
 	k, err := kernels.ByName("nn")
 	if err != nil {
@@ -128,7 +129,8 @@ func TestControllerConfigCacheHit(t *testing.T) {
 	hier := mem.MustHierarchy(mem.DefaultHierarchy())
 
 	m1 := k.NewMemory(1)
-	if _, _, err := ctl.Run(prog, m1, hier, 20_000_000); err != nil {
+	miss, _, err := ctl.Run(prog, m1, hier, 20_000_000)
+	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := k.NewMemory(2)
@@ -140,7 +142,16 @@ func TestControllerConfigCacheHit(t *testing.T) {
 		t.Error("second run should hit the configuration cache")
 	}
 	if len(report.Regions) == 0 || !report.Regions[0].ConfigCacheHit {
-		t.Error("region report should record the cache hit")
+		t.Fatal("region report should record the cache hit")
+	}
+	// A hit pays the configuration write and the control transfer, and
+	// charges them to the region like a miss does.
+	hit := report.Regions[0]
+	if total := float64(hit.ConfigCost.Total()); total <= 0 || hit.OverheadCycles != total {
+		t.Errorf("hit overhead %v cycles, config cost %v", hit.OverheadCycles, total)
+	}
+	if got, want := hit.ConfigCost.ConfigWrite, miss.Regions[0].ConfigCost.ConfigWrite; got != want {
+		t.Errorf("hit config write %d cycles, miss %d", got, want)
 	}
 	if err := k.Verify(m2); err != nil {
 		t.Fatal(err)

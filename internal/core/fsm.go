@@ -36,6 +36,11 @@ const (
 	cfgCyclesPerEdge = 1 // interconnect control bits
 )
 
+// configStreamCycles is the configuration stream's length for one tile.
+func configStreamCycles(l *LDFG) int {
+	return cfgCyclesPerNode*l.Graph.Len() + cfgCyclesPerEdge*len(l.Graph.Edges(nil))
+}
+
 // EstimateConfigCost computes the configuration latency for a mapped region.
 // tiles > 1 replays the configuration stream once per duplicated instance.
 func EstimateConfigCost(l *LDFG, stats *MapStats, tiles int) ConfigCost {
@@ -43,11 +48,10 @@ func EstimateConfigCost(l *LDFG, stats *MapStats, tiles int) ConfigCost {
 		tiles = 1
 	}
 	nodes := l.Graph.Len()
-	edges := len(l.Graph.Edges(nil))
 	return ConfigCost{
 		LDFGBuild:   nodes + 2,
 		InstrMap:    imapFixedStates*nodes + stats.ReductionCycles,
-		ConfigWrite: tiles * (cfgCyclesPerNode*nodes + cfgCyclesPerEdge*edges),
+		ConfigWrite: tiles * configStreamCycles(l),
 		Transfer:    transferCycles,
 	}
 }

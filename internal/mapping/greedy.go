@@ -8,6 +8,7 @@ import (
 	"mesa/internal/dfg"
 	"mesa/internal/isa"
 	"mesa/internal/noc"
+	"mesa/internal/sched"
 )
 
 func init() { Register(greedyStrategy{}) }
@@ -104,7 +105,7 @@ func (m *Mapper) Map(l *LDFG, be *accel.Config) (*SDFG, *MapStats, error) {
 			}
 		}
 
-		isMem := (n.Inst.IsLoad() || n.Inst.IsStore()) && !n.Fwd
+		isMem := sched.IsMemOp(n)
 		if isMem {
 			candidates = m.edgeCandidates(candidates[:0], s, anchor)
 		} else {

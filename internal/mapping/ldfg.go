@@ -3,6 +3,7 @@ package mapping
 import (
 	"mesa/internal/dfg"
 	"mesa/internal/isa"
+	"mesa/internal/sched"
 )
 
 // LDFG is the Logical Dataflow Graph: the DFG stored in program order
@@ -32,7 +33,7 @@ func (l *LDFG) MemNodes() []dfg.NodeID {
 	var out []dfg.NodeID
 	for i := range l.Graph.Nodes {
 		n := &l.Graph.Nodes[i]
-		if (n.Inst.IsLoad() || n.Inst.IsStore()) && !n.Fwd {
+		if sched.IsMemOp(n) {
 			out = append(out, n.ID)
 		}
 	}
@@ -45,7 +46,7 @@ func (l *LDFG) ComputeNodes() []dfg.NodeID {
 	var out []dfg.NodeID
 	for i := range l.Graph.Nodes {
 		n := &l.Graph.Nodes[i]
-		if (n.Inst.IsLoad() || n.Inst.IsStore()) && !n.Fwd {
+		if sched.IsMemOp(n) {
 			continue
 		}
 		out = append(out, dfg.NodeID(i))

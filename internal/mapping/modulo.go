@@ -84,7 +84,7 @@ func (moduloStrategy) Map(l *LDFG, be *accel.Config, o Options) (*SDFG, *MapStat
 	g := l.Graph
 	mii := sched.MinII(
 		sched.ResMII(len(l.ComputeNodes()), be.NumPEs(), len(l.MemNodes()), be.MemPorts),
-		sched.RecMII(g, nodeOpLat, true))
+		sched.RecMII(g, sched.OpLat, true))
 
 	var (
 		best      *SDFG
@@ -133,13 +133,9 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 	units, unitOf := unitIndex(be)
 	mrt := sched.NewTable(units, ii)
 	memPorts := sched.NewBudget(ii, be.MemPorts)
-	lanes := be.NoCLanesPerRow
-	if lanes < 1 {
-		lanes = 1
-	}
 	rowLanes := make([]*sched.Budget, be.Rows)
 	for r := range rowLanes {
-		rowLanes[r] = sched.NewBudget(ii, lanes)
+		rowLanes[r] = sched.NewBudget(ii, be.NoCLanes())
 	}
 
 	rng := rand.New(rand.NewPCG(placementSeed, moduloStream))

@@ -21,10 +21,6 @@ var unplacedCoord = noc.Coord{Row: -1 << 20, Col: -1 << 20}
 // control network (branch predication).
 const CtrlLat = 1
 
-// nodeOpLat is the latency model the mapper charges throughout: each node
-// costs its estimated operation latency.
-func nodeOpLat(n *dfg.Node) float64 { return n.OpLat }
-
 // LiveInLat is the latency for a live-in register value to reach a PE's
 // input buffer at iteration start (values are written during configuration
 // or carried between iterations).
@@ -199,19 +195,19 @@ func (s *SDFG) PredictedII(tiles int) float64 {
 }
 
 // iiModel is PredictedII split at the placement boundary, so a refinement
-// loop pays only for what a move can change. floor holds the
-// placement-invariant terms: the recurrence bound RecMII/tiles and the
-// memory-port bound (memory nodes / MemPorts). The NoC term is the only one
-// that depends on placement: it counts, over the non-control edges, those
-// with a bus-resident end or a half-ring route over the network. An iiModel
-// is valid for one graph while its OpLat weights are unchanged, so it is
-// built per Map call and never cached across calls (engine feedback
-// rewrites OpLat between optimization rounds). A placement-dependent
-// RecMII, such as a recurrence chain that includes measured edge transfer
-// latency, belongs in predict, not in floor.
+// loop pays only for what a move can change. dep and mem are the
+// placement-invariant sched.Bounds terms: the recurrence bound RecMII/tiles
+// and the memory-port bound (memory nodes / MemPorts). The NoC term is the
+// only one that depends on placement: it counts, over the non-control
+// edges, those with a bus-resident end or a half-ring route over the
+// network. An iiModel is valid for one graph while its OpLat weights are
+// unchanged, so it is built per Map call and never cached across calls
+// (engine feedback rewrites OpLat between optimization rounds). A
+// placement-dependent RecMII, such as a recurrence chain that includes
+// measured edge transfer latency, belongs in predict, not in dep.
 type iiModel struct {
-	tiles int
-	floor float64
+	tiles    int
+	dep, mem float64
 	// edges lists the graph's non-control edges in Parents order.
 	edges      []dfg.Edge
 	hr         noc.HalfRing
@@ -226,13 +222,12 @@ func (s *SDFG) newIIModel(tiles int) *iiModel {
 	}
 	g := s.LDFG.Graph
 	be := s.Backend
-	m := &iiModel{tiles: tiles}
-
-	m.floor = sched.RecMII(g, nodeOpLat, true) / float64(tiles)
-	if mp := float64(len(s.LDFG.MemNodes())) / float64(be.MemPorts); mp > m.floor {
-		m.floor = mp
+	m := &iiModel{
+		tiles:    tiles,
+		dep:      sched.RecMII(g, sched.OpLat, true) / float64(tiles),
+		mem:      float64(sched.MemOps(g)) / float64(be.MemPorts),
+		nocLanes: be.NoCLanes() * be.Rows,
 	}
-
 	edges := g.Edges(nil)
 	m.edges = edges[:0]
 	for _, e := range edges {
@@ -241,11 +236,6 @@ func (s *SDFG) newIIModel(tiles int) *iiModel {
 		}
 	}
 	m.hr, m.isHalfRing = be.Interconnect.(noc.HalfRing)
-	lanes := be.NoCLanesPerRow
-	if lanes < 1 {
-		lanes = 1
-	}
-	m.nocLanes = lanes * be.Rows
 	return m
 }
 
@@ -261,13 +251,8 @@ func (m *iiModel) predict(s *SDFG) float64 {
 			nocN++
 		}
 	}
-	ii := m.floor
-	if n := float64(nocN) / float64(m.nocLanes); n > ii {
-		ii = n
-	}
-	if floor := 1.0 / float64(m.tiles); ii < floor {
-		ii = floor
-	}
+	b := sched.Bounds{Dependence: m.dep, MemPorts: m.mem, NoC: float64(nocN) / float64(m.nocLanes)}
+	ii, _ := b.II(m.tiles)
 	return ii
 }
 

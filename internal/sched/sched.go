@@ -1,14 +1,17 @@
-// Package sched holds the modulo-scheduling machinery shared by the
-// OpenCGRA comparison baseline (internal/baseline/opencgra) and the
-// mapping package's `modulo` strategy: the classic ResMII/RecMII lower
-// bounds on the initiation interval, and the modulo reservation
-// structures (a boolean table over unit × slot, and a counted per-slot
-// budget for shared interfaces such as memory ports or NoC lanes).
+// Package sched owns the initiation-interval (II) model: the recurrence
+// walk and the ResMII/RecMII lower bounds, the combination of the four
+// throughput bounds (Bounds), the pipelined-cycles formula, and the modulo
+// reservation structures (a boolean table over unit × slot, and a counted
+// per-slot budget for shared interfaces such as memory ports or NoC lanes).
 //
-// The bounds are deliberately parametric in the latency model: the
-// baseline charges its own per-class latencies (loads at LoadLat),
-// while the MESA mapper charges each node's OpLat. Both call the same
-// functions so the two flows cannot drift apart.
+// Every II model calls it, so none can drift from the others: the engine's
+// attribution report and loop totals (accel), the controller's tile choice
+// (core), the mapper's PredictedII and `modulo` strategy (mapping), and the
+// OpenCGRA and DynaSpAM baselines (internal/baseline).
+//
+// The bounds are parametric in the latency model: the baselines charge
+// their own per-class latencies (loads at LoadLat), the mapper and
+// controller each node's OpLat, and the engine's report measured latencies.
 package sched
 
 import (
@@ -59,18 +62,20 @@ func ResMII(ops, units, memOps, memUnits int) int {
 	return ii
 }
 
-// RecMII is the recurrence-constrained lower bound on the initiation
-// interval: a live-out register consumed as a live-in closes an
-// inter-iteration dependence cycle through its producing node, so
-// iteration i+1 cannot issue that chain before the producer of
-// iteration i finishes (latency + 1 for the register turnaround).
+// OpLat charges each node its modeled operation latency: the model the
+// MESA mapper and controller use throughout.
+func OpLat(n *dfg.Node) float64 { return n.OpLat }
+
+// Recurrences calls visit, in register order, for every live-out register
+// of g that g also reads as a live-in, with the node producing it: each
+// closes an inter-iteration dependence cycle through that producer.
 //
 // includePred additionally treats predicate live-ins (PredLiveIn) as
-// consumers, matching the MESA engine's predication semantics; the
-// OpenCGRA baseline predates predicated offload and charges only data
+// reads, matching the MESA engine's predication semantics; the OpenCGRA
+// and DynaSpAM baselines predate predicated offload and charge only data
 // operands.
-func RecMII(g *dfg.Graph, lat Latency, includePred bool) float64 {
-	liveIn := make(map[isa.Reg]bool)
+func Recurrences(g *dfg.Graph, includePred bool, visit func(r isa.Reg, producer dfg.NodeID)) {
+	var liveIn [isa.NumRegs]bool
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		for k := 0; k < 3; k++ {
@@ -82,14 +87,27 @@ func RecMII(g *dfg.Graph, lat Latency, includePred bool) float64 {
 			liveIn[n.PredLiveIn] = true
 		}
 	}
-	rec := 1.0
-	for r, id := range g.LiveOut {
-		if liveIn[r] {
-			if l := lat(g.Node(id)) + 1; l > rec {
-				rec = l
-			}
+	for r, read := range &liveIn {
+		if !read {
+			continue
+		}
+		if id, ok := g.LiveOut[isa.Reg(r)]; ok {
+			visit(isa.Reg(r), id)
 		}
 	}
+}
+
+// RecMII is the recurrence-constrained lower bound on the initiation
+// interval: iteration i+1 cannot issue a recurrence (see Recurrences)
+// before its producer in iteration i finishes, which costs the producer's
+// latency + 1 for the register turnaround. The result is at least 1.
+func RecMII(g *dfg.Graph, lat Latency, includePred bool) float64 {
+	rec := 1.0
+	Recurrences(g, includePred, func(_ isa.Reg, id dfg.NodeID) {
+		if l := lat(g.Node(id)) + 1; l > rec {
+			rec = l
+		}
+	})
 	return rec
 }
 
@@ -104,6 +122,52 @@ func MinII(resMII int, recMII float64) int {
 		ii = 1
 	}
 	return ii
+}
+
+// BoundNames names the candidate bounds of Bounds, in comparison order.
+var BoundNames = [...]string{"dependence", "memports", "noc", "timeshare"}
+
+// Bounds holds the candidate steady-state initiation intervals of a
+// pipelined or tiled loop, in cycles per iteration.
+type Bounds struct {
+	Dependence float64 // RecMII ÷ tiles
+	MemPorts   float64 // memory operations per iteration ÷ memory ports
+	NoC        float64 // NoC transfers per iteration ÷ NoC lanes
+	TimeShare  float64 // work of the most-loaded time-shared unit
+}
+
+// Values returns the candidates in BoundNames order.
+func (b Bounds) Values() [len(BoundNames)]float64 {
+	return [...]float64{b.Dependence, b.MemPorts, b.NoC, b.TimeShare}
+}
+
+// II combines the candidates for a loop spread over tiles ≥ 1 instances:
+// the largest candidate, ties going to the earlier in BoundNames order,
+// raised to the floor of 1/tiles (each instance issues at most one
+// iteration per cycle). bound names the winning candidate, floor or not.
+func (b Bounds) II(tiles int) (ii float64, bound string) {
+	v := b.Values()
+	win := 0
+	for i := 1; i < len(v); i++ {
+		if v[i] > v[win] {
+			win = i
+		}
+	}
+	ii = v[win]
+	if floor := 1 / float64(tiles); ii < floor {
+		ii = floor
+	}
+	return ii, BoundNames[win]
+}
+
+// PipelinedCycles is the time n iterations of latency iterLat take when
+// each issues ii cycles after the previous: iterLat + (n−1)·ii. A single
+// iteration (n ≤ 1) takes iterLat.
+func PipelinedCycles(iterLat, ii float64, n uint64) float64 {
+	if n <= 1 {
+		return iterLat
+	}
+	return iterLat + float64(n-1)*ii
 }
 
 // Table is a modulo reservation table: units × II slots of boolean

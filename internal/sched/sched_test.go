@@ -6,6 +6,7 @@ import (
 	"mesa/internal/accel"
 	"mesa/internal/core"
 	"mesa/internal/dfg"
+	"mesa/internal/isa"
 	"mesa/internal/kernels"
 	"mesa/internal/sched"
 )
@@ -152,4 +153,96 @@ func graphFor(t *testing.T, name string) *dfg.Graph {
 		t.Fatal(err)
 	}
 	return l.Graph
+}
+
+// TestBoundsII pins the combination rule: the largest candidate wins, ties
+// go to the earlier candidate in BoundNames order, and the 1/tiles floor
+// raises the II without renaming the bound.
+func TestBoundsII(t *testing.T) {
+	cases := []struct {
+		b     sched.Bounds
+		tiles int
+		ii    float64
+		bound string
+	}{
+		{sched.Bounds{}, 1, 1, "dependence"},
+		{sched.Bounds{Dependence: 3, MemPorts: 2, NoC: 1, TimeShare: 0.5}, 1, 3, "dependence"},
+		{sched.Bounds{Dependence: 1, MemPorts: 2.5}, 1, 2.5, "memports"},
+		{sched.Bounds{Dependence: 1, MemPorts: 2, NoC: 4}, 1, 4, "noc"},
+		{sched.Bounds{Dependence: 1, MemPorts: 2, NoC: 4, TimeShare: 6}, 1, 6, "timeshare"},
+		// Ties go to the earlier candidate.
+		{sched.Bounds{Dependence: 2, MemPorts: 2, NoC: 2, TimeShare: 2}, 1, 2, "dependence"},
+		{sched.Bounds{Dependence: 1, MemPorts: 2, NoC: 2, TimeShare: 2}, 1, 2, "memports"},
+		{sched.Bounds{Dependence: 1, MemPorts: 1, NoC: 3, TimeShare: 3}, 1, 3, "noc"},
+		// The floor: at most one iteration per tile per cycle.
+		{sched.Bounds{Dependence: 0.125, MemPorts: 0.1}, 4, 0.25, "dependence"},
+		{sched.Bounds{Dependence: 0.1, MemPorts: 0.2}, 4, 0.25, "memports"},
+		{sched.Bounds{Dependence: 0.1, MemPorts: 0.2}, 2, 0.5, "memports"},
+		{sched.Bounds{Dependence: 0.1, MemPorts: 0.3}, 4, 0.3, "memports"},
+	}
+	for _, c := range cases {
+		ii, bound := c.b.II(c.tiles)
+		if ii != c.ii || bound != c.bound {
+			t.Errorf("%+v.II(%d) = (%v, %q), want (%v, %q)", c.b, c.tiles, ii, bound, c.ii, c.bound)
+		}
+	}
+}
+
+func TestPipelinedCycles(t *testing.T) {
+	cases := []struct {
+		iterLat, ii float64
+		n           uint64
+		want        float64
+	}{
+		{10, 2, 0, 10},
+		{10, 2, 1, 10},
+		{10, 2, 2, 12},
+		{10, 0.25, 101, 35},
+	}
+	for _, c := range cases {
+		if got := sched.PipelinedCycles(c.iterLat, c.ii, c.n); got != c.want {
+			t.Errorf("PipelinedCycles(%v, %v, %d) = %v, want %v", c.iterLat, c.ii, c.n, got, c.want)
+		}
+	}
+}
+
+// TestRecurrenceWalkAllocatesNothing: the walk and RecMII built on it use a
+// fixed live-in set, so neither allocates.
+func TestRecurrenceWalkAllocatesNothing(t *testing.T) {
+	g := graphFor(t, "nw")
+	visits := 0
+	visit := func(isa.Reg, dfg.NodeID) { visits++ }
+	if n := testing.AllocsPerRun(100, func() { sched.Recurrences(g, true, visit) }); n != 0 {
+		t.Errorf("Recurrences allocates %v times per call", n)
+	}
+	if visits == 0 {
+		t.Fatal("nw has no recurrence to visit")
+	}
+	if n := testing.AllocsPerRun(100, func() { sched.RecMII(g, sched.OpLat, true) }); n != 0 {
+		t.Errorf("RecMII allocates %v times per call", n)
+	}
+}
+
+// recSink keeps BenchmarkRecMII's results live.
+var recSink float64
+
+// BenchmarkRecMII measures the recurrence bound over every suite kernel's
+// hot loop, as the mapper and controller compute it once per mapping.
+func BenchmarkRecMII(b *testing.B) {
+	var graphs []*dfg.Graph
+	for _, k := range kernels.All() {
+		prog, loopStart := k.MustProgram()
+		l, err := core.BuildLDFG(prog.LoopBody(loopStart), accel.M128().EstimateLat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, l.Graph)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			recSink = sched.RecMII(g, sched.OpLat, true)
+		}
+	}
 }

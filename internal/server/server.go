@@ -506,16 +506,15 @@ func (s *Server) normalize(req *Request) (*normalized, *Error) {
 		n.prog = prog
 	}
 
-	switch req.Backend {
-	case "", "M-128":
-		n.backend = accel.M128()
-	case "M-64":
-		n.backend = accel.M64()
-	case "M-512":
-		n.backend = accel.M512()
-	default:
+	backend := req.Backend
+	if backend == "" {
+		backend = "M-128"
+	}
+	be, ok := accel.ByName(backend)
+	if !ok {
 		return nil, errf(http.StatusBadRequest, "unknown backend %q (want M-64, M-128, or M-512)", req.Backend)
 	}
+	n.backend = be
 
 	name := req.Mapper
 	if name == "" {
