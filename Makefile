@@ -6,7 +6,7 @@
 #   make lint        # staticcheck (pinned version; skipped with a notice when unavailable offline)
 #   make test        # tier-1: go build + go test
 #   make test-race   # the sweep fan-out must be race-clean
-#   make fuzz-smoke  # 10s of each Go fuzz target (differential, FP spec, ISA round-trip)
+#   make fuzz-smoke  # 10s of each Go fuzz target (differential, FP spec, ISA round-trip, mesad request decode)
 #   make mesad-smoke # mesad end-to-end self-test: serve, load-generate, scrape /metrics
 #   make bench       # run every package's Go benchmarks once with -benchmem (allocation counts)
 #   make bench-json  # write the current performance snapshot to BENCH.json
@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/alu -run '^$$' -fuzz '^FuzzFPSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecodeEncode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/genkern -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSimulateRequest$$' -fuzztime $(FUZZTIME)
 
 # End-to-end self-test of the mesad service binary: serve on a loopback
 # port, run the load generator cold and warm (every response byte-compared

@@ -44,56 +44,19 @@ type BatchResponse struct {
 	Items         []BatchItem `json:"items"`
 }
 
-// batchItemState tracks one batch element through the pipeline.
-type batchItemState struct {
-	norm *normalized
-	key  string
-	item BatchItem
-	done bool
-}
-
-// finish records an item's final disposition.
-func (st *batchItemState) finish(status int, cache string, body []byte) {
-	st.item = BatchItem{Status: status, Cache: cache, Body: body}
-	st.done = true
-}
-
-// errItem resolves an item to the same Error document the single-request
-// handler would have written.
-func (st *batchItemState) errItem(s *Server, e *Error) {
-	if e.Status >= 500 {
-		s.serverErrors.Add(1)
-	} else {
-		s.clientErrors.Add(1)
-	}
-	data, _ := json.Marshal(e)
-	st.finish(e.Status, "", append(data, '\n'))
-}
-
-// handleSimulateBatch answers many simulation requests in one round trip:
-// per-item validation and response-store lookups first, then the remaining
-// items fan out over the experiments worker pool, each answered through the
-// exact single-request path — so every item body is byte-identical to what
-// POST /v1/simulate would have returned for that request, cold or warm. The
-// simulation memo is single-flight, so duplicate items simulate once.
+// handleSimulateBatch answers many simulation requests in one round trip
+// through the single-request path: one decode and one admission slot for the
+// batch, every item normalized and looked up in the response store first,
+// then the rest answered concurrently on the experiments worker pool — so
+// every item body is byte-identical to what POST /v1/simulate would have
+// returned for that request, cold or warm. The simulation memo is
+// single-flight, so duplicate items simulate once.
 func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.batchRequests.Add(1)
-	if r.Method != http.MethodPost {
-		s.writeError(w, errf(http.StatusMethodNotAllowed, "use POST"))
-		return
-	}
-	if s.draining.Load() {
-		s.rejectedDraining.Add(1)
-		s.writeError(w, errf(http.StatusServiceUnavailable, "server is shutting down"))
-		return
-	}
-
 	var breq BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		s.writeError(w, errf(http.StatusBadRequest, "bad request body: %v", err))
+	if e := s.decode(w, r, maxBatchBodyBytes, &breq); e != nil {
+		s.writeError(w, e)
 		return
 	}
 	if len(breq.Requests) == 0 {
@@ -107,54 +70,36 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchItems.Add(uint64(len(breq.Requests)))
 
-	items := make([]batchItemState, len(breq.Requests))
+	// An item is answered once its Status is set; norms and keys carry the
+	// rest to the fan-out.
+	items := make([]BatchItem, len(breq.Requests))
+	norms := make([]*normalized, len(items))
+	keys := make([]string, len(items))
 	for i := range breq.Requests {
-		st := &items[i]
-		n, apiErr := s.normalize(&breq.Requests[i])
-		if apiErr != nil {
-			st.errItem(s, apiErr)
+		n, e := s.normalize(&breq.Requests[i])
+		if e != nil {
+			items[i] = BatchItem{Status: e.Status, Body: s.errorBody(e)}
 			continue
 		}
-		st.norm = n
-		st.key = n.fingerprint()
+		norms[i], keys[i] = n, n.fingerprint()
 	}
 
 	t := asTrack(w)
-
-	// Admission: the whole batch takes one slot. Intra-batch concurrency is
-	// bounded by the experiments worker pool, exactly like one heavy request.
-	if s.queued.Add(1) > s.queueLimit {
-		s.queued.Add(-1)
-		s.rejectedBusy.Add(1)
-		s.writeError(w, errf(http.StatusServiceUnavailable, "server is at capacity (queue full)"))
+	release, e := s.admit(r.Context(), t)
+	if e != nil {
+		s.writeError(w, e)
 		return
 	}
-	endQueue := t.stage(stageQueue)
-	select {
-	case s.gate <- struct{}{}:
-	case <-r.Context().Done():
-		endQueue()
-		s.queued.Add(-1)
-		s.writeError(w, errf(http.StatusServiceUnavailable, "request cancelled while queued"))
-		return
-	}
-	endQueue()
-	s.queued.Add(-1)
-	s.admitted.Add(1)
-	defer func() { <-s.gate }()
+	defer release()
 
-	// Response store: items whose exact bytes are already on disk are done
-	// before any simulation runs.
+	// Every lookup happens before any item simulates, so a duplicate item
+	// never replays the bytes its twin just stored: Cache and resp_disk_hits
+	// do not depend on scheduling.
 	if s.cfg.Store != nil {
 		endDisk := t.stage(stageDisk)
 		for i := range items {
-			st := &items[i]
-			if st.done {
-				continue
-			}
-			if data, ok, err := s.cfg.Store.Get(st.key); err == nil && ok {
-				s.respDiskHits.Add(1)
-				st.finish(http.StatusOK, "disk", data)
+			if items[i].Status == 0 {
+				items[i], _ = s.lookup(keys[i])
 			}
 		}
 		endDisk()
@@ -162,7 +107,7 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 
 	var pending []int
 	for i := range items {
-		if !items[i].done {
+		if items[i].Status == 0 {
 			pending = append(pending, i)
 		}
 	}
@@ -171,7 +116,8 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	// that panic propagates exactly as it would from POST /v1/simulate.
 	_, err := experiments.Run(context.Background(), experiments.Workers(), len(pending),
 		func(_ context.Context, j int) (struct{}, error) {
-			s.answerItem(&items[pending[j]])
+			i := pending[j]
+			items[i] = s.answer(nil, norms[i], keys[i])
 			return struct{}{}, nil
 		})
 	endSim()
@@ -179,37 +125,8 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 		panic(err)
 	}
 
-	out := BatchResponse{SchemaVersion: SchemaVersion, Items: make([]BatchItem, len(items))}
-	for i := range items {
-		out.Items[i] = items[i].item
-	}
 	endEncode := t.stage(stageEncode)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&out)
+	json.NewEncoder(w).Encode(&BatchResponse{SchemaVersion: SchemaVersion, Items: items})
 	endEncode()
-}
-
-// answerItem resolves one item through the single-request path: simulate,
-// encode, and publish the bytes to the response store.
-func (s *Server) answerItem(st *batchItemState) {
-	resp, err := simulate(st.norm)
-	if err != nil {
-		if apiErr, ok := err.(*Error); ok {
-			st.errItem(s, apiErr)
-		} else {
-			st.errItem(s, errf(http.StatusInternalServerError, "simulation failed: %v", err))
-		}
-		return
-	}
-	data, err := EncodeResponse(resp)
-	if err != nil {
-		st.errItem(s, errf(http.StatusInternalServerError, "encode: %v", err))
-		return
-	}
-	if s.cfg.Store != nil {
-		if err := s.cfg.Store.Put(st.key, data); err == nil {
-			s.respDiskWrites.Add(1)
-		}
-	}
-	st.finish(http.StatusOK, "miss", data)
 }

@@ -61,6 +61,9 @@ func TestBatchErrors(t *testing.T) {
 	t.Run("unknown field", func(t *testing.T) {
 		assertJSONError(t, postBatch(t, s, `{"request": []}`), http.StatusBadRequest)
 	})
+	t.Run("trailing data", func(t *testing.T) {
+		assertJSONError(t, postBatch(t, s, `{"requests":[{"kernel":"nn"}]} {}`), http.StatusBadRequest, "trailing")
+	})
 	t.Run("empty batch", func(t *testing.T) {
 		assertJSONError(t, postBatch(t, s, `{"requests": []}`), http.StatusBadRequest, "no requests")
 	})

@@ -10,6 +10,14 @@
 //     single-flight simulation cache (bounded, memory-only LRU):
 //     concurrent identical requests run one simulation; repeated requests
 //     hit warm entries.
+//   - One request path serves POST /v1/simulate and every item of POST
+//     /v1/simulate/batch: decode (method, drain, size limit, unknown fields,
+//     trailing data) → normalize → admit → lookup (response store) → answer
+//     (simulate, encode, store write), with errorBody the one way any
+//     failure becomes the Error document. A single request runs it once; a
+//     batch decodes and admits once, looks every item up, then fans answer
+//     out over the items. Named kernels and raw programs share one response
+//     builder, respond.
 //   - Admission control bounds concurrent simulations to the
 //     internal/experiments worker width, with a bounded wait queue: load
 //     beyond the queue is rejected with 503 rather than piling up.
@@ -22,16 +30,19 @@
 package server
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"mesa/internal/accel"
+	"mesa/internal/core"
 	"mesa/internal/cpu"
 	"mesa/internal/experiments"
 	"mesa/internal/isa"
@@ -236,16 +247,34 @@ func (s *Server) Drain() { s.draining.Store(true) }
 // Draining reports whether Drain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// writeError emits the uniform JSON error body.
-func (s *Server) writeError(w http.ResponseWriter, e *Error) {
+// errorBody renders e as the Error document that answers every failure —
+// a single request's body and a batch item's alike — and counts it as a
+// client or server error.
+func (s *Server) errorBody(e *Error) []byte {
 	if e.Status >= 500 {
 		s.serverErrors.Add(1)
 	} else {
 		s.clientErrors.Add(1)
 	}
+	data, _ := json.Marshal(e)
+	return append(data, '\n')
+}
+
+// writeError emits the uniform JSON error body.
+func (s *Server) writeError(w http.ResponseWriter, e *Error) {
+	writeItem(w, BatchItem{Status: e.Status, Body: s.errorBody(e)})
+}
+
+// writeItem writes one answer as the whole HTTP response: its status, its
+// exact body bytes and, when it has one, its X-Mesad-Cache disposition.
+func writeItem(w http.ResponseWriter, item BatchItem) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.Status)
-	json.NewEncoder(w).Encode(e)
+	if item.Cache != "" {
+		asTrack(w).setCache(item.Cache)
+		w.Header().Set("X-Mesad-Cache", item.Cache)
+	}
+	w.WriteHeader(item.Status)
+	w.Write(item.Body)
 }
 
 // handleHealthz reports liveness plus the numbers an operator checks first:
@@ -344,99 +373,123 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	if r.Method != http.MethodPost {
-		s.writeError(w, errf(http.StatusMethodNotAllowed, "use POST"))
-		return
-	}
-	if s.draining.Load() {
-		s.rejectedDraining.Add(1)
-		s.writeError(w, errf(http.StatusServiceUnavailable, "server is shutting down"))
-		return
-	}
-
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, errf(http.StatusBadRequest, "bad request body: %v", err))
+	if e := s.decode(w, r, maxBodyBytes, &req); e != nil {
+		s.writeError(w, e)
 		return
 	}
-	norm, apiErr := s.normalize(&req)
-	if apiErr != nil {
-		s.writeError(w, apiErr)
+	norm, e := s.normalize(&req)
+	if e != nil {
+		s.writeError(w, e)
 		return
 	}
 	t := asTrack(w)
 	t.setWorkload(req.Kernel, norm.backend.Name, norm.mapper.Name())
+	release, e := s.admit(r.Context(), t)
+	if e != nil {
+		s.writeError(w, e)
+		return
+	}
+	defer release()
 
-	// Admission: at most Admission simulations run, at most QueueDepth wait.
-	// The experiments worker pool bounds intra-request fan-out; this gate
-	// bounds cross-request concurrency with the same width.
+	key := norm.fingerprint()
+	if s.cfg.Store != nil {
+		endDisk := t.stage(stageDisk)
+		item, ok := s.lookup(key)
+		endDisk()
+		if ok {
+			writeItem(w, item)
+			return
+		}
+	}
+	writeItem(w, s.answer(t, norm, key))
+}
+
+// decode reads a POST body into v: the method, drain, size-limit,
+// unknown-field and trailing-data checks every simulation endpoint makes
+// before it looks at the request. Whitespace (a trailing newline) may follow
+// the JSON document; anything else is a 400.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, v any) *Error {
+	if r.Method != http.MethodPost {
+		return errf(http.StatusMethodNotAllowed, "use POST")
+	}
+	if s.draining.Load() {
+		s.rejectedDraining.Add(1)
+		return errf(http.StatusServiceUnavailable, "server is shutting down")
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return errf(http.StatusBadRequest, "bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errf(http.StatusBadRequest, "bad request body: trailing data after the JSON document")
+	}
+	return nil
+}
+
+// admit waits for one admission slot and returns the func that frees it. At
+// most Admission simulations run and at most QueueDepth wait; the
+// experiments worker pool bounds intra-request fan-out, this gate bounds
+// cross-request concurrency with the same width. A batch takes one slot.
+func (s *Server) admit(ctx context.Context, t *track) (release func(), e *Error) {
 	if s.queued.Add(1) > s.queueLimit {
 		s.queued.Add(-1)
 		s.rejectedBusy.Add(1)
-		s.writeError(w, errf(http.StatusServiceUnavailable, "server is at capacity (queue full)"))
-		return
+		return nil, errf(http.StatusServiceUnavailable, "server is at capacity (queue full)")
 	}
 	endQueue := t.stage(stageQueue)
 	select {
 	case s.gate <- struct{}{}:
-	case <-r.Context().Done():
-		endQueue()
-		s.queued.Add(-1)
-		s.writeError(w, errf(http.StatusServiceUnavailable, "request cancelled while queued"))
-		return
+	case <-ctx.Done():
+		e = errf(http.StatusServiceUnavailable, "request cancelled while queued")
 	}
 	endQueue()
 	s.queued.Add(-1)
-	s.admitted.Add(1)
-	defer func() { <-s.gate }()
-
-	// Response store: replay byte-exact warm bytes across restarts.
-	key := norm.fingerprint()
-	if s.cfg.Store != nil {
-		endDisk := t.stage(stageDisk)
-		data, ok, err := s.cfg.Store.Get(key)
-		endDisk()
-		if err == nil && ok {
-			s.respDiskHits.Add(1)
-			t.setCache("disk")
-			writeResponseBytes(w, data, "disk")
-			return
-		}
+	if e != nil {
+		return nil, e
 	}
+	s.admitted.Add(1)
+	return func() { <-s.gate }, nil
+}
 
+// lookup replays the byte-exact response the store holds for key, so warm
+// responses survive restarts. Callers check that a store is attached.
+func (s *Server) lookup(key string) (BatchItem, bool) {
+	data, ok, err := s.cfg.Store.Get(key)
+	if err != nil || !ok {
+		return BatchItem{}, false
+	}
+	s.respDiskHits.Add(1)
+	return BatchItem{Status: http.StatusOK, Cache: "disk", Body: data}, true
+}
+
+// answer resolves a request the store could not: simulate, encode, and
+// publish the bytes to the response store. It returns exactly what POST
+// /v1/simulate sends — the response on success, the Error document
+// otherwise. t times the simulate and encode stages (nil for batch items,
+// which the batch times as a whole).
+func (s *Server) answer(t *track, n *normalized, key string) BatchItem {
 	endSim := t.stage(stageSimulate)
-	resp, err := simulate(norm)
+	resp, err := simulate(n)
 	endSim()
 	if err != nil {
-		if apiErr, ok := err.(*Error); ok {
-			s.writeError(w, apiErr)
-		} else {
-			s.writeError(w, errf(http.StatusInternalServerError, "simulation failed: %v", err))
-		}
-		return
+		e := errf(http.StatusInternalServerError, "simulation failed: %v", err)
+		return BatchItem{Status: e.Status, Body: s.errorBody(e)}
 	}
 	endEncode := t.stage(stageEncode)
-	data, mErr := EncodeResponse(resp)
+	data, err := EncodeResponse(resp)
 	endEncode()
-	if mErr != nil {
-		s.writeError(w, errf(http.StatusInternalServerError, "encode: %v", mErr))
-		return
+	if err != nil {
+		e := errf(http.StatusInternalServerError, "encode: %v", err)
+		return BatchItem{Status: e.Status, Body: s.errorBody(e)}
 	}
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Put(key, data); err == nil {
 			s.respDiskWrites.Add(1)
 		}
 	}
-	t.setCache("miss")
-	writeResponseBytes(w, data, "miss")
-}
-
-func writeResponseBytes(w http.ResponseWriter, data []byte, cache string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Mesad-Cache", cache)
-	w.Write(data)
+	return BatchItem{Status: http.StatusOK, Cache: "miss", Body: data}
 }
 
 // EncodeResponse serializes a Response exactly as the HTTP handler does
@@ -532,7 +585,10 @@ func (s *Server) normalize(req *Request) (*normalized, *Error) {
 	if n.cores < 0 || n.cores > 64 {
 		return nil, errf(http.StatusBadRequest, "cores %d out of range [0, 64]", n.cores)
 	}
-	if n.cores == 0 {
+	// A core count reaches the response only through a parallel kernel's
+	// multicore baseline: raw programs and serial kernels time one core, so
+	// any count resolves to 1 and shares that request's fingerprint.
+	if n.cores == 0 || n.kernel == nil || !n.kernel.Parallel {
 		n.cores = 1
 	}
 	return n, nil
@@ -571,13 +627,21 @@ func (s *Server) Simulate(req *Request) (*Response, error) {
 // simulate runs a normalized request through the experiments layer (all
 // simulation results are memoized and coalesced there).
 func simulate(n *normalized) (*Response, error) {
-	if n.kernel != nil {
-		return simulateKernel(n)
+	if n.kernel == nil {
+		single, err := experiments.TimeProgramSingleCore(n.prog, cpu.DefaultBOOM())
+		if err != nil {
+			return nil, err
+		}
+		report, err := experiments.RunProgramMESA(n.prog, n.backend, n.mapper)
+		if err != nil {
+			return nil, err
+		}
+		var rr *core.RegionReport
+		if len(report.Regions) > 0 {
+			rr = report.Regions[0]
+		}
+		return respond(n, CPUSummary{Cores: 1, Cycles: single.Cycles}, rr, 0), nil
 	}
-	return simulateRaw(n)
-}
-
-func simulateKernel(n *normalized) (*Response, error) {
 	k := n.kernel
 	single, err := experiments.TimeSingleCore(k, cpu.DefaultBOOM())
 	if err != nil {
@@ -597,24 +661,34 @@ func simulateKernel(n *normalized) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	return respond(n, CPUSummary{Cores: baseline.Cores, Cycles: baseline.Cycles}, run.Region, run.CPUProfilingCycles), nil
+}
+
+// respond builds the Response for a CPU baseline and the offloaded region
+// (nil when nothing qualified). profiling is the CPU cost of the iterations
+// that ran before offload: a kernel charges them at its single-core cost per
+// iteration, a raw program has no iteration count to charge them against.
+func respond(n *normalized, baseline CPUSummary, rr *core.RegionReport, profiling float64) *Response {
 	resp := &Response{
 		SchemaVersion: SchemaVersion,
-		Kernel:        k.Name,
 		Backend:       n.backend.Name,
 		Mapper:        n.mapper.Name(),
-		Qualified:     run.Qualified,
-		CPU:           CPUSummary{Cores: baseline.Cores, Cycles: baseline.Cycles},
+		Qualified:     rr != nil,
+		CPU:           baseline,
 	}
-	if !run.Qualified {
-		return resp, nil
+	if n.kernel != nil {
+		resp.Kernel = n.kernel.Name
 	}
-	rr := run.Region
+	if rr == nil {
+		return resp
+	}
+	total := rr.AccelCycles + rr.OverheadCycles + profiling
 	resp.Loop = &LoopSummary{
-		Iterations:         run.Iterations,
-		AccelCycles:        run.AccelCycles,
-		OverheadCycles:     run.OverheadCycles,
-		CPUProfilingCycles: run.CPUProfilingCycles,
-		TotalCycles:        run.TotalCycles,
+		Iterations:         rr.Iterations,
+		AccelCycles:        rr.AccelCycles,
+		OverheadCycles:     rr.OverheadCycles,
+		CPUProfilingCycles: profiling,
+		TotalCycles:        total,
 		AvgIterCycles:      rr.FinalAvgIter,
 		II:                 rr.FinalII,
 		Bound:              rr.Bound,
@@ -623,48 +697,8 @@ func simulateKernel(n *normalized) (*Response, error) {
 		ConfigWords:        rr.ConfigWords,
 	}
 	resp.Attribution = rr.Attrib
-	if run.TotalCycles > 0 {
-		resp.Speedup = baseline.Cycles / run.TotalCycles
-	}
-	return resp, nil
-}
-
-func simulateRaw(n *normalized) (*Response, error) {
-	single, err := experiments.TimeProgramSingleCore(n.prog, cpu.DefaultBOOM())
-	if err != nil {
-		return nil, err
-	}
-	report, err := experiments.RunProgramMESA(n.prog, n.backend, n.mapper)
-	if err != nil {
-		return nil, err
-	}
-	resp := &Response{
-		SchemaVersion: SchemaVersion,
-		Backend:       n.backend.Name,
-		Mapper:        n.mapper.Name(),
-		Qualified:     len(report.Regions) > 0,
-		CPU:           CPUSummary{Cores: 1, Cycles: single.Cycles},
-	}
-	if len(report.Regions) == 0 {
-		return resp, nil
-	}
-	rr := report.Regions[0]
-	total := rr.TotalCycles()
-	resp.Loop = &LoopSummary{
-		Iterations:     rr.Iterations,
-		AccelCycles:    rr.AccelCycles,
-		OverheadCycles: rr.OverheadCycles,
-		TotalCycles:    total,
-		AvgIterCycles:  rr.FinalAvgIter,
-		II:             rr.FinalII,
-		Bound:          rr.Bound,
-		Tiles:          rr.Tiles,
-		Reconfigs:      rr.Reconfigs,
-		ConfigWords:    rr.ConfigWords,
-	}
-	resp.Attribution = rr.Attrib
 	if total > 0 {
-		resp.Speedup = single.Cycles / total
+		resp.Speedup = baseline.Cycles / total
 	}
-	return resp, nil
+	return resp
 }

@@ -61,6 +61,14 @@ func TestHandlerErrors(t *testing.T) {
 	t.Run("unknown field", func(t *testing.T) {
 		assertJSONError(t, post(t, s, `{"kernle": "nn"}`), http.StatusBadRequest)
 	})
+	t.Run("trailing data", func(t *testing.T) {
+		assertJSONError(t, post(t, s, `{"kernel":"nn"} trailing garbage`), http.StatusBadRequest, "trailing")
+	})
+	t.Run("trailing newline", func(t *testing.T) {
+		// A trailing newline is whitespace: the body decodes and the request
+		// fails later, on the kernel name.
+		assertJSONError(t, post(t, s, "{\"kernel\":\"no-such-kernel\"}\n"), http.StatusNotFound, "no-such-kernel")
+	})
 	t.Run("neither kernel nor program", func(t *testing.T) {
 		assertJSONError(t, post(t, s, `{}`), http.StatusBadRequest)
 	})
