@@ -14,6 +14,7 @@ import (
 	"mesa/internal/experiments"
 	"mesa/internal/isa"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 	"mesa/internal/mem"
 	"mesa/internal/sim"
 )
@@ -182,7 +183,7 @@ func BenchmarkSpatialMapping(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mapper := core.NewMapper(core.DefaultMapperOptions())
+	mapper := mapping.NewMapper(mapping.DefaultOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := mapper.Map(l, be); err != nil {
@@ -202,7 +203,7 @@ func BenchmarkAccelIteration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
+	s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func hotLoopAccel(b *testing.B, k *kernels.Kernel) (*accel.Engine, [isa.NumRegs]
 	if err != nil {
 		return nil, [isa.NumRegs]uint32{}, false
 	}
-	s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
+	s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 	if err != nil {
 		return nil, [isa.NumRegs]uint32{}, false
 	}

@@ -55,25 +55,7 @@ import (
 
 type experiment struct {
 	name string
-	run  func() (string, error)
-	data func() (any, error) // structured result for -json
-}
-
-var all = []experiment{
-	{"table1", renderTable1, dataTable1},
-	{"fig2", renderFigure2, dataFigure2},
-	{"fig4", renderFigure4, dataFigure4},
-	{"fig8", renderFigure8, dataFigure8},
-	{"table2", renderTable2, dataTable2},
-	{"fig11", renderFigure11, dataFigure11},
-	{"fig12", renderFigure12, dataFigure12},
-	{"fig13", renderFigure13, dataFigure13},
-	{"fig14", renderFigure14, dataFigure14},
-	{"fig15", renderFigure15, dataFigure15},
-	{"fig16", renderFigure16, dataFigure16},
-	{"ablations", renderAblations, dataAblations},
-	{"mappers", renderMappers, dataMappers},
-	{"attrib", renderAttrib, dataAttrib},
+	run  func() (result, error)
 }
 
 func usage() {
@@ -241,7 +223,7 @@ func runExperiments(cfg config) error {
 		// afterwards so the output does not depend on completion order.
 		values, err := experiments.Run(context.Background(), cfg.parallel, len(cfg.chosen),
 			func(_ context.Context, i int) (any, error) {
-				v, err := cfg.chosen[i].data()
+				v, err := cfg.chosen[i].run()
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", cfg.chosen[i].name, err)
 				}
@@ -269,11 +251,11 @@ func runExperiments(cfg config) error {
 	outputs, err := experiments.Run(context.Background(), cfg.parallel, len(cfg.chosen),
 		func(_ context.Context, i int) (rendered, error) {
 			start := time.Now()
-			out, err := cfg.chosen[i].run()
+			r, err := cfg.chosen[i].run()
 			if err != nil {
 				return rendered{}, fmt.Errorf("%s: %w", cfg.chosen[i].name, err)
 			}
-			return rendered{out: out, seconds: time.Since(start).Seconds()}, nil
+			return rendered{out: r.Render(), seconds: time.Since(start).Seconds()}, nil
 		})
 	if err != nil {
 		return err

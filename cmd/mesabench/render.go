@@ -2,149 +2,29 @@ package main
 
 import "mesa/internal/experiments"
 
-func renderTable1() (string, error) {
-	return experiments.Table1().Render(), nil
+// result is what every experiment returns: rendered as text by default and
+// encoded as structured JSON under -json.
+type result interface{ Render() string }
+
+// entry adapts an experiment's typed constructor to the table's one
+// signature.
+func entry[T result](name string, run func() (T, error)) experiment {
+	return experiment{name, func() (result, error) { return run() }}
 }
 
-func renderTable2() (string, error) {
-	r, err := experiments.Table2()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderFigure2() (string, error) {
-	return experiments.Figure2().Render(), nil
-}
-
-func renderFigure4() (string, error) {
-	r, err := experiments.Figure4()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderFigure8() (string, error) {
-	r, err := experiments.Figure8()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderFigure11() (string, error) {
-	r, err := experiments.Figure11()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderFigure12() (string, error) {
-	r, err := experiments.Figure12()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderFigure13() (string, error) {
-	r, err := experiments.Figure13()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderFigure14() (string, error) {
-	r, err := experiments.Figure14()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderFigure15() (string, error) {
-	r, err := experiments.Figure15()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderFigure16() (string, error) {
-	r, err := experiments.Figure16()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderAblations() (string, error) {
-	return experiments.RenderAblations()
-}
-
-func renderMappers() (string, error) {
-	r, err := experiments.Mappers()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-func renderAttrib() (string, error) {
-	r, err := experiments.Attrib()
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// Structured (-json) variants.
-
-func dataTable1() (any, error)   { return experiments.Table1(), nil }
-func dataFigure2() (any, error)  { return experiments.Figure2(), nil }
-func dataFigure4() (any, error)  { return experiments.Figure4() }
-func dataFigure8() (any, error)  { return experiments.Figure8() }
-func dataTable2() (any, error)   { return experiments.Table2() }
-func dataFigure11() (any, error) { return experiments.Figure11() }
-func dataFigure12() (any, error) { return experiments.Figure12() }
-func dataFigure13() (any, error) { return experiments.Figure13() }
-func dataFigure14() (any, error) { return experiments.Figure14() }
-func dataFigure15() (any, error) { return experiments.Figure15() }
-func dataFigure16() (any, error) { return experiments.Figure16() }
-func dataAttrib() (any, error)   { return experiments.Attrib() }
-func dataMappers() (any, error)  { return experiments.Mappers() }
-
-func dataAblations() (any, error) {
-	win, err := experiments.WindowAblation()
-	if err != nil {
-		return nil, err
-	}
-	tie, err := experiments.TieBreakAblation()
-	if err != nil {
-		return nil, err
-	}
-	mo, err := experiments.MemOptAblation()
-	if err != nil {
-		return nil, err
-	}
-	fa, err := experiments.ForwardingAblation()
-	if err != nil {
-		return nil, err
-	}
-	ic, err := experiments.InterconnectAblation()
-	if err != nil {
-		return nil, err
-	}
-	ts, err := experiments.TimeShareAblation()
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"window": win, "tiebreak": tie, "memopts": mo,
-		"forwarding": fa, "interconnect": ic, "timeshare": ts,
-	}, nil
+var all = []experiment{
+	entry("table1", func() (*experiments.Table1Result, error) { return experiments.Table1(), nil }),
+	entry("fig2", func() (*experiments.Figure2Result, error) { return experiments.Figure2(), nil }),
+	entry("fig4", experiments.Figure4),
+	entry("fig8", experiments.Figure8),
+	entry("table2", experiments.Table2),
+	entry("fig11", experiments.Figure11),
+	entry("fig12", experiments.Figure12),
+	entry("fig13", experiments.Figure13),
+	entry("fig14", experiments.Figure14),
+	entry("fig15", experiments.Figure15),
+	entry("fig16", experiments.Figure16),
+	entry("ablations", experiments.Ablations),
+	entry("mappers", experiments.Mappers),
+	entry("attrib", experiments.Attrib),
 }

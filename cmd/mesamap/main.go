@@ -99,7 +99,7 @@ func run(w io.Writer, name, backendName, mapperName string, emitDot bool) error 
 		if err != nil {
 			return err
 		}
-		sdfg, _, err := strat.Map(ldfg, be, core.DefaultMapperOptions())
+		sdfg, _, err := strat.Map(ldfg, be, mapping.DefaultOptions())
 		if err != nil {
 			return err
 		}
@@ -136,7 +136,7 @@ func run(w io.Writer, name, backendName, mapperName string, emitDot bool) error 
 	}
 	fmt.Fprintf(w, "induction updates: %v, loop branch: i%d\n", ldfg.Inductions, ldfg.LoopBranch)
 
-	sdfg, stats, err := strat.Map(ldfg, be, core.DefaultMapperOptions())
+	sdfg, stats, err := strat.Map(ldfg, be, mapping.DefaultOptions())
 	if err != nil {
 		return fmt.Errorf("mapping failed (structural hazard): %w", err)
 	}

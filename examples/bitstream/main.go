@@ -17,6 +17,7 @@ import (
 	"mesa/internal/accel"
 	"mesa/internal/core"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 	"mesa/internal/mem"
 	"mesa/internal/sim"
 )
@@ -35,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sdfg, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(ldfg, be)
+	sdfg, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(ldfg, be)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"mesa/internal/accel"
 	"mesa/internal/core"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 	"mesa/internal/noc"
 )
 
@@ -76,7 +77,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sdfg, stats, err := core.NewMapper(core.DefaultMapperOptions()).Map(ldfg, be)
+		sdfg, stats, err := mapping.NewMapper(mapping.DefaultOptions()).Map(ldfg, be)
 		if err != nil {
 			log.Fatalf("%s: %v", ic.Name(), err)
 		}

@@ -18,6 +18,7 @@ import (
 	"mesa/internal/accel"
 	"mesa/internal/core"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 	"mesa/internal/mem"
 	"mesa/internal/sim"
 )
@@ -41,7 +42,7 @@ func main() {
 		ldfg.Graph.Len(), len(ldfg.MemNodes()), ldfg.LoopBranch)
 
 	// T2: initial spatial mapping from the estimates.
-	mapper := core.NewMapper(core.DefaultMapperOptions())
+	mapper := mapping.NewMapper(mapping.DefaultOptions())
 	sdfg, _, err := mapper.Map(ldfg, be)
 	if err != nil {
 		log.Fatal(err)

@@ -194,7 +194,7 @@ func (e *Engine) peUtilization() []PEUtil {
 	acc := map[key]*PEUtil{}
 	for i := range e.g.Nodes {
 		p := e.pos[i]
-		if !e.cfg.InBounds(p) && !e.cfg.IsEdge(p) {
+		if e.cfg.Unit(p) < 0 {
 			continue // fallback bus: not a spatial unit
 		}
 		k := key{p.Row, p.Col}

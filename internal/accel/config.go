@@ -19,28 +19,19 @@ import (
 // for compute classes; memory classes use the cache model instead).
 type OpLatencies [isa.NumClasses]float64
 
-// DefaultOpLatencies returns the PE timing used across the evaluation,
-// consistent with the paper's worked example (FP add/sub 3 cycles, FP
-// multiply 5 cycles).
-func DefaultOpLatencies() OpLatencies {
-	var l OpLatencies
-	l[isa.ClassALU] = 1
-	l[isa.ClassMul] = 3
-	l[isa.ClassDiv] = 12
-	l[isa.ClassBranch] = 1
-	l[isa.ClassJump] = 1
-	l[isa.ClassFPAdd] = 3
-	l[isa.ClassFPMul] = 5
-	l[isa.ClassFPDiv] = 16
-	l[isa.ClassLoad] = 0  // determined by the memory system
-	l[isa.ClassStore] = 0 // determined by the memory system
-	return l
-}
+// CtrlLat is the latency of enable-signal delivery over the control network
+// (branch predication).
+const CtrlLat = 1
+
+// LiveInLat is the latency for a live-in register value to reach a PE's
+// input buffer at iteration start (values are written during configuration
+// or carried between iterations).
+const LiveInLat = 1
 
 // Config describes a spatial accelerator backend: grid geometry, functional
 // capabilities (the F_op masks), interconnect, and memory interface. MESA
-// treats this as an opaque target; only Supports and the interconnect's
-// latency function are consulted during mapping.
+// treats this as an opaque target; only Supports, Unit and Route are
+// consulted during mapping.
 type Config struct {
 	Name string
 
@@ -102,7 +93,7 @@ func M128() *Config {
 		Interconnect:    noc.DefaultHalfRing(),
 		NoCLanesPerRow:  2,
 		MemPorts:        8,
-		OpLat:           DefaultOpLatencies(),
+		OpLat:           isa.ClassLatencies(),
 		LoadLatEstimate: 3,
 		BusLat:          8,
 		EnablePrefetch:  true,
@@ -207,6 +198,60 @@ func (c *Config) IsEdge(at noc.Coord) bool {
 // InBounds reports whether the coordinate is a PE position.
 func (c *Config) InBounds(at noc.Coord) bool {
 	return at.Row >= 0 && at.Row < c.Rows && at.Col >= 0 && at.Col < c.Cols
+}
+
+// Units reports the number of unit slots: every PE and load/store entry.
+func (c *Config) Units() int { return c.Rows * (c.Cols + 2*c.EdgeDepth) }
+
+// Unit returns the dense slot of the PE or load/store entry at the
+// coordinate, row·(Cols+2·EdgeDepth) + col + EdgeDepth, or -1 when the
+// coordinate is neither (such as the fallback bus). Slots run in row-major
+// coordinate order.
+func (c *Config) Unit(at noc.Coord) int {
+	stride, col := c.Cols+2*c.EdgeDepth, at.Col+c.EdgeDepth
+	if uint(at.Row) >= uint(c.Rows) || uint(col) >= uint(stride) {
+		return -1
+	}
+	return at.Row*stride + col
+}
+
+// RouteKind classifies how a transfer's data travels.
+type RouteKind uint8
+
+const (
+	RouteLocal RouteKind = iota // direct neighbor link (part of PE power)
+	RouteNoC                    // half-ring NoC lane in the producer's row
+	RouteBus                    // secondary fallback bus
+)
+
+// Route is one transfer's static path: its kind, its uncontended latency in
+// cycles, and for NoC routes the lane row.
+type Route struct {
+	Kind RouteKind
+	Row  int32
+	Lat  float64
+}
+
+// Route resolves the transfer from one position to another: the fallback
+// bus at BusLat when either end is neither a PE nor a load/store entry;
+// otherwise the interconnect's latency, over a NoC lane in the producer's
+// row when a half-ring sends the pair over the network, and over a local
+// link when not. This is the one bus/NoC/local decision: the engine's
+// timing, the mapper's latency and II models and modulo scheduling's NoC
+// pressure all read it.
+func (c *Config) Route(from, to noc.Coord) Route {
+	if c.Unit(from) < 0 || c.Unit(to) < 0 {
+		return Route{Kind: RouteBus, Lat: float64(c.BusLat)}
+	}
+	hr, ok := c.Interconnect.(noc.HalfRing)
+	if !ok {
+		return Route{Kind: RouteLocal, Lat: float64(c.Interconnect.Latency(from, to))}
+	}
+	lat, network := hr.Transfer(from, to)
+	if network {
+		return Route{Kind: RouteNoC, Row: int32(from.Row), Lat: float64(lat)}
+	}
+	return Route{Kind: RouteLocal, Lat: float64(lat)}
 }
 
 // HasFP reports whether the PE at the coordinate carries FP logic.

@@ -70,10 +70,10 @@ type Engine struct {
 	edges     []nodeEdges
 	edgePairs []uint64
 
-	// routes[k] is edge k's transfer path, resolved once from the placement
-	// (which never changes inside an engine), so transfer does no
-	// coordinate classification or interconnect latency calls.
-	routes []route
+	// routes[k] is edge k's transfer path (Config.Route), resolved once
+	// from the placement (which never changes inside an engine), so transfer
+	// does no coordinate classification or interconnect latency calls.
+	routes []Route
 
 	// Per-iteration cache-line coalescing scratch (vectorization): an
 	// open-addressed line-tag table stamped with the iteration generation,
@@ -93,7 +93,7 @@ type Engine struct {
 
 	// Time-multiplexing extension: when the mapper assigned multiple
 	// instructions to one unit, their executions serialize on it. unitOf
-	// maps each node to a dense grid-unit index (-1 for bus fallback);
+	// maps each node to its Config.Unit slot (-1 for bus fallback);
 	// unitBusy/unitGen are generation-stamped like the line-grant scratch.
 	timeShared  bool
 	unitOf      []int32
@@ -129,24 +129,6 @@ type nodeEdges struct {
 	src  [3]int32
 	mem  int32
 	pred int32
-}
-
-// routeKind classifies how an edge's data travels.
-type routeKind uint8
-
-const (
-	routeLocal routeKind = iota // direct neighbor link (part of PE power)
-	routeNoC                    // half-ring NoC lane in the producer's row
-	routeBus                    // secondary fallback bus
-)
-
-// route is one edge's static transfer path: its kind, its uncontended
-// latency, and for NoC routes the lane row (the producer's row, clamped to 0
-// when off the grid).
-type route struct {
-	kind routeKind
-	row  int32
-	lat  float64
 }
 
 // Counters accumulates measured per-node and per-edge latencies — the
@@ -280,41 +262,32 @@ func NewEngine(cfg *Config, g *dfg.Graph, pos []noc.Coord, loopBranch dfg.NodeID
 		e.lineGen = make([]uint32, capacity)
 		e.lineMask = uint32(capacity - 1)
 	}
-	// Detect time-shared units (the mapping extension): any coordinate with
-	// more than one instruction serializes its occupants.
-	work := make(map[noc.Coord]float64)
-	count := make(map[noc.Coord]int)
+	// Detect time-shared units (the mapping extension): any unit with more
+	// than one instruction serializes its occupants. Bus-fallback nodes have
+	// no unit and never serialize.
+	unitOf := make([]int32, n)
+	work := make([]float64, cfg.Units())
+	count := make([]uint32, len(work))
 	for i, p := range pos {
-		if !cfg.InBounds(p) && !cfg.IsEdge(p) {
+		u := cfg.Unit(p)
+		unitOf[i] = int32(u)
+		if u < 0 {
 			continue
 		}
-		count[p]++
-		work[p] += cfg.EstimateLat(g.Nodes[i].Inst)
-		if count[p] > 1 {
+		count[u]++
+		work[u] += cfg.EstimateLat(g.Nodes[i].Inst)
+		if count[u] > 1 {
 			e.timeShared = true
-			if work[p] > e.maxUnitWork {
-				e.maxUnitWork = work[p]
-			}
+			e.maxUnitWork = max(e.maxUnitWork, work[u])
 		}
 	}
 	if e.timeShared {
-		// Dense busy-time array over every valid unit slot (PE grid plus the
-		// edge load/store columns), generation-stamped so it needs no
-		// per-iteration clearing. Bus-fallback nodes map to -1 and never
-		// serialize (matching the previous map semantics, which only ever
-		// held in-grid coordinates).
-		stride := cfg.Cols + 2*cfg.EdgeDepth
-		e.unitOf = make([]int32, n)
-		for i, p := range pos {
-			if cfg.InBounds(p) || cfg.IsEdge(p) {
-				e.unitOf[i] = int32(p.Row*stride + p.Col + cfg.EdgeDepth)
-			} else {
-				e.unitOf[i] = -1
-			}
-		}
-		units := cfg.Rows * stride
-		e.unitBusy = make([]float64, units)
-		e.unitGen = make([]uint32, units)
+		// The per-unit busy time is generation-stamped, so it needs no
+		// per-iteration clearing: with every stamp zeroed, no slot is live
+		// before the first iteration, and the detection scratch serves as
+		// its storage.
+		clear(count)
+		e.unitOf, e.unitBusy, e.unitGen = unitOf, work, count
 	}
 	return e, nil
 }
@@ -358,31 +331,11 @@ func buildEdgeIndex(g *dfg.Graph) ([]nodeEdges, []uint64) {
 }
 
 // buildRoutes resolves every indexed edge's transfer path from the
-// placement: bus when either end fell back to the secondary bus, else the
-// interconnect's base latency, riding a NoC lane when a half-ring sends it
-// over the network and a local link otherwise.
-func (e *Engine) buildRoutes() []route {
-	routes := make([]route, len(e.edgePairs))
-	onBus := func(id dfg.NodeID) bool {
-		p := e.pos[id]
-		return !e.cfg.InBounds(p) && !e.cfg.IsEdge(p)
-	}
-	hr, isHalfRing := e.cfg.Interconnect.(noc.HalfRing)
+// placement.
+func (e *Engine) buildRoutes() []Route {
+	routes := make([]Route, len(e.edgePairs))
 	for k, key := range e.edgePairs {
-		from, to := dfg.NodeID(key>>32), dfg.NodeID(uint32(key))
-		if onBus(from) || onBus(to) {
-			routes[k] = route{kind: routeBus, lat: float64(e.cfg.BusLat)}
-			continue
-		}
-		a, b := e.pos[from], e.pos[to]
-		r := route{kind: routeLocal, lat: float64(e.cfg.Interconnect.Latency(a, b))}
-		if isHalfRing && hr.UsesNoC(a, b) {
-			r.kind = routeNoC
-			if a.Row >= 0 && a.Row < e.cfg.Rows {
-				r.row = int32(a.Row)
-			}
-		}
-		routes[k] = r
+		routes[k] = e.cfg.Route(e.pos[key>>32], e.pos[uint32(key)])
 	}
 	return routes
 }
@@ -426,7 +379,7 @@ func (e *Engine) AttachRecorder(r *obs.Recorder, base float64) {
 	r.NameThread(obs.PIDAccel, iterTID, "iterations")
 	for i := range e.g.Nodes {
 		where := "bus"
-		if p := e.pos[i]; e.cfg.InBounds(p) || e.cfg.IsEdge(p) {
+		if p := e.pos[i]; e.cfg.Unit(p) >= 0 {
 			where = fmt.Sprintf("(%d,%d)", p.Row, p.Col)
 		}
 		r.NameThread(obs.PIDAccel, nodeTID(dfg.NodeID(i)), e.nodeLabel[i]+" @"+where)
@@ -446,9 +399,9 @@ func (e *Engine) TraceClock() float64 { return e.traceClock }
 // NewEngine; only NoC lane arbitration happens here.
 func (e *Engine) transfer(from dfg.NodeID, edge int32, ready float64) float64 {
 	r := &e.routes[edge]
-	lat := r.lat
-	switch r.kind {
-	case routeBus:
+	lat := r.Lat
+	switch r.Kind {
+	case RouteBus:
 		// Fallback-bus traffic does not occupy NoC lanes: it must not count
 		// against the row-lane bandwidth bound of the initiation-interval
 		// model.
@@ -456,9 +409,9 @@ func (e *Engine) transfer(from dfg.NodeID, edge int32, ready float64) float64 {
 		if e.traced {
 			e.rec.Complete(obs.PIDAccel, nodeTID(from), "bus", "bus transfer", e.traceClock+ready, lat)
 		}
-	case routeNoC:
+	case RouteNoC:
 		// Arbitrate for a NoC lane in the producer's row.
-		row := int(r.row)
+		row := int(r.Row)
 		lanes := e.laneFree[row*e.lanes : (row+1)*e.lanes]
 		lane := 0
 		for l := 1; l < len(lanes); l++ {
@@ -472,7 +425,7 @@ func (e *Engine) transfer(from dfg.NodeID, edge int32, ready float64) float64 {
 		lat += start - ready
 		e.counters.NoCTransfers++
 		e.counters.RowTransfers[row]++
-		e.activity.NoC += r.lat
+		e.activity.NoC += r.Lat
 		if e.traced && start > ready {
 			e.rec.Complete(obs.PIDAccel, nodeTID(from), "noc", "lane wait", e.traceClock+ready, start-ready)
 		}
@@ -624,7 +577,7 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 		if n.CtrlDep != dfg.None {
 			b := n.CtrlDep
 			en = e.enabled[b] && !e.taken[b]
-			if a := e.completion[b] + ctrlLat; a > ctrlArrival {
+			if a := e.completion[b] + CtrlLat; a > ctrlArrival {
 				ctrlArrival = a
 			}
 			e.activity.CtrlEvents++
@@ -644,8 +597,8 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 				}
 			case n.LiveIn[k] != isa.RegNone:
 				opVal[k] = readReg(regs, n.LiveIn[k])
-				if liveInLat > arrival {
-					arrival = liveInLat
+				if LiveInLat > arrival {
+					arrival = LiveInLat
 				}
 			}
 		}
@@ -667,8 +620,8 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 				}
 			} else if n.PredLiveIn != isa.RegNone {
 				old = readReg(regs, n.PredLiveIn)
-				if liveInLat > pa {
-					pa = liveInLat
+				if LiveInLat > pa {
+					pa = LiveInLat
 				}
 			}
 			e.value[i] = old
@@ -939,8 +892,4 @@ func (e *Engine) ResetCounters() {
 	}
 }
 
-const (
-	ctrlLat       = 1.0
-	liveInLat     = 1.0
-	invalidateLat = 2.0
-)
+const invalidateLat = 2.0

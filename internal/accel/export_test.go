@@ -4,6 +4,6 @@ package accel
 // ("bus", "noc" or "local"), NoC lane row and base latency.
 func (e *Engine) RouteOf(k int) (kind string, row int, lat float64) {
 	r := e.routes[k]
-	kind = [...]string{routeLocal: "local", routeNoC: "noc", routeBus: "bus"}[r.kind]
-	return kind, int(r.row), r.lat
+	kind = [...]string{RouteLocal: "local", RouteNoC: "noc", RouteBus: "bus"}[r.Kind]
+	return kind, int(r.Row), r.Lat
 }

@@ -7,6 +7,7 @@ import (
 	"mesa/internal/core"
 	"mesa/internal/dfg"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 	"mesa/internal/mem"
 	"mesa/internal/noc"
 )
@@ -58,13 +59,13 @@ func TestRoutesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", k.Name, err)
 			}
-			s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, cfg)
+			s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, cfg)
 			if err != nil {
 				continue // the kernel does not map onto this configuration
 			}
 			bus := append([]noc.Coord(nil), s.Pos...)
 			for i := 0; i < len(bus); i += 3 {
-				bus[i] = core.BusCoord
+				bus[i] = mapping.BusCoord
 			}
 			for _, place := range []struct {
 				name string

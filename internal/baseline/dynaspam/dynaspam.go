@@ -41,15 +41,7 @@ type Config struct {
 
 // Default returns the configuration used for Figure 14.
 func Default() Config {
-	var lat [isa.NumClasses]float64
-	lat[isa.ClassALU] = 1
-	lat[isa.ClassMul] = 3
-	lat[isa.ClassDiv] = 12
-	lat[isa.ClassBranch] = 1
-	lat[isa.ClassJump] = 1
-	lat[isa.ClassFPAdd] = 3
-	lat[isa.ClassFPMul] = 5
-	lat[isa.ClassFPDiv] = 16
+	lat := isa.ClassLatencies()
 	lat[isa.ClassStore] = 1
 	return Config{
 		Levels: 8, FUsPerLevel: 8, MemPorts: 2,

@@ -5,6 +5,7 @@ import (
 
 	"mesa/internal/accel"
 	"mesa/internal/core"
+	"mesa/internal/isa"
 	"mesa/internal/kernels"
 )
 
@@ -91,5 +92,28 @@ func TestDepthSplitting(t *testing.T) {
 	}
 	if !r.Qualified {
 		t.Fatalf("cfd should still map with narrow levels: %s", r.Reason)
+	}
+}
+
+// TestDefaultConfig pins the Figure 14 configuration field by field: the
+// operation latencies are the shared functional-unit table plus a 1-cycle
+// store, and the geometry and memory parameters are DynaSpAM's own.
+func TestDefaultConfig(t *testing.T) {
+	var lat [isa.NumClasses]float64
+	lat[isa.ClassALU] = 1
+	lat[isa.ClassMul] = 3
+	lat[isa.ClassDiv] = 12
+	lat[isa.ClassBranch] = 1
+	lat[isa.ClassJump] = 1
+	lat[isa.ClassFPAdd] = 3
+	lat[isa.ClassFPMul] = 5
+	lat[isa.ClassFPDiv] = 16
+	lat[isa.ClassStore] = 1
+	want := Config{
+		Levels: 8, FUsPerLevel: 8, MemPorts: 2,
+		LevelLat: 1, OpLat: lat, LoadLat: 6, Speculative: true,
+	}
+	if got := Default(); got != want {
+		t.Errorf("Default() = %+v\nwant %+v", got, want)
 	}
 }

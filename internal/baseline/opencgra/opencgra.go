@@ -34,15 +34,7 @@ type Config struct {
 // per-op latencies, 4 memory interfaces (OpenCGRA's default tile memory
 // configuration is port-limited similarly).
 func Default(rows, cols int) Config {
-	var lat [isa.NumClasses]float64
-	lat[isa.ClassALU] = 1
-	lat[isa.ClassMul] = 3
-	lat[isa.ClassDiv] = 12
-	lat[isa.ClassBranch] = 1
-	lat[isa.ClassJump] = 1
-	lat[isa.ClassFPAdd] = 3
-	lat[isa.ClassFPMul] = 5
-	lat[isa.ClassFPDiv] = 16
+	lat := isa.ClassLatencies()
 	lat[isa.ClassStore] = 1
 	return Config{Rows: rows, Cols: cols, MemUnits: 4, MaxII: 64, OpLat: lat, LoadLat: 6}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mesa/internal/accel"
 	"mesa/internal/core"
+	"mesa/internal/isa"
 	"mesa/internal/kernels"
 )
 
@@ -113,5 +114,25 @@ func TestAllKernelsSchedule(t *testing.T) {
 			continue
 		}
 		t.Logf("%s: II=%d, len=%.0f, IPC=%.2f", name, s.II, s.Length, s.IPC)
+	}
+}
+
+// TestDefaultConfig pins the OpenCGRA comparison configuration: the
+// operation latencies are the shared functional-unit table plus a 1-cycle
+// store, and the array parameters are the baseline's own.
+func TestDefaultConfig(t *testing.T) {
+	var lat [isa.NumClasses]float64
+	lat[isa.ClassALU] = 1
+	lat[isa.ClassMul] = 3
+	lat[isa.ClassDiv] = 12
+	lat[isa.ClassBranch] = 1
+	lat[isa.ClassJump] = 1
+	lat[isa.ClassFPAdd] = 3
+	lat[isa.ClassFPMul] = 5
+	lat[isa.ClassFPDiv] = 16
+	lat[isa.ClassStore] = 1
+	want := Config{Rows: 16, Cols: 8, MemUnits: 4, MaxII: 64, OpLat: lat, LoadLat: 6}
+	if got := Default(16, 8); got != want {
+		t.Errorf("Default(16, 8) = %+v\nwant %+v", got, want)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // refChooseTiles is the controller's tile choice as it was before the II
 // model moved into internal/sched, for a parallel region with tiling on:
 // its own recurrence walk, memory-node count and bound chain.
-func refChooseTiles(be *accel.Config, ldfg *core.LDFG, stats *core.MapStats, horizon float64) int {
+func refChooseTiles(be *accel.Config, ldfg *core.LDFG, stats *mapping.MapStats, horizon float64) int {
 	tiles := core.MaxTiles
 	if stats.PEPlacements > 0 {
 		if byPE := be.NumPEs() / stats.PEPlacements; byPE < tiles {
@@ -126,7 +126,7 @@ func TestChooseTilesMatchesReference(t *testing.T) {
 			if err != nil {
 				continue // does not fit this backend
 			}
-			for _, stats := range []*core.MapStats{mapped, {}} {
+			for _, stats := range []*mapping.MapStats{mapped, {}} {
 				for _, horizon := range []float64{0, 1, 16, 256, 4096, 65536, 1e7} {
 					got := ctl.ChooseTiles(region, l, stats, horizon)
 					if want := refChooseTiles(b.be, l, stats, horizon); got != want {

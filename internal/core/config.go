@@ -1,5 +1,7 @@
 package core
 
+import "mesa/internal/mapping"
+
 // ConfigCache caches accelerator configurations for loops that were already
 // mapped, in case they are re-encountered in the near future (§4.3): a hit
 // skips LDFG construction and mapping, paying only the configuration write
@@ -13,7 +15,7 @@ type ConfigCache struct {
 }
 
 type cacheEntry struct {
-	sdfg  *SDFG
+	sdfg  *mapping.SDFG
 	ldfg  *LDFG
 	tiles int
 	used  uint64
@@ -28,7 +30,7 @@ func NewConfigCache(capacity int) *ConfigCache {
 }
 
 // Lookup returns the cached mapping for a loop's start address, if present.
-func (c *ConfigCache) Lookup(start uint32) (*SDFG, *LDFG, int, bool) {
+func (c *ConfigCache) Lookup(start uint32) (*mapping.SDFG, *LDFG, int, bool) {
 	e, ok := c.entries[start]
 	if !ok {
 		c.Misses++
@@ -41,7 +43,7 @@ func (c *ConfigCache) Lookup(start uint32) (*SDFG, *LDFG, int, bool) {
 }
 
 // Insert stores a mapping, evicting the least recently used entry if full.
-func (c *ConfigCache) Insert(start uint32, s *SDFG, l *LDFG, tiles int) {
+func (c *ConfigCache) Insert(start uint32, s *mapping.SDFG, l *LDFG, tiles int) {
 	c.clock++
 	if _, ok := c.entries[start]; !ok && len(c.entries) >= c.capacity {
 		var victim uint32

@@ -53,7 +53,7 @@ type Options struct {
 	// MapperOpts tunes Algorithm 1's hardware parameters; every strategy
 	// receives them (the controller fills Tiles, Attrib and Sticky per
 	// call).
-	MapperOpts MapperOptions
+	MapperOpts mapping.Options
 
 	// OptimizeBatch is the number of accelerated iterations executed
 	// between optimization rounds (counter-sampling windows).
@@ -82,7 +82,7 @@ func DefaultOptions(backend *accel.Config) Options {
 		Backend:           backend,
 		Detector:          det,
 		Mapper:            mapping.Default(),
-		MapperOpts:        DefaultMapperOptions(),
+		MapperOpts:        mapping.DefaultOptions(),
 		OptimizeBatch:     32,
 		MaxOptimizeRounds: 3,
 		EnableTiling:      true,
@@ -105,8 +105,8 @@ type RoundReport struct {
 type RegionReport struct {
 	Region *Region
 	LDFG   *LDFG
-	SDFG   *SDFG
-	Stats  *MapStats
+	SDFG   *mapping.SDFG
+	Stats  *mapping.MapStats
 
 	Tiles          int
 	ConfigCost     ConfigCost
@@ -204,7 +204,7 @@ func NewController(opts Options) *Controller {
 // attribution that feedback-driven strategies bias on, and — for the auto
 // meta-strategy — the delegate this region already escalated to, so the
 // per-region decision is sticky across rounds.
-func (c *Controller) mapRegion(ldfg *LDFG, tiles int, attrib *accel.Attribution, sticky string) (*SDFG, *MapStats, error) {
+func (c *Controller) mapRegion(ldfg *LDFG, tiles int, attrib *accel.Attribution, sticky string) (*mapping.SDFG, *mapping.MapStats, error) {
 	mo := c.opts.MapperOpts
 	mo.Tiles = tiles
 	mo.Attrib = attrib
@@ -236,8 +236,8 @@ func (c *Controller) Trace(ev sim.Event) {
 type configuredRegion struct {
 	region *Region
 	ldfg   *LDFG
-	sdfg   *SDFG
-	stats  *MapStats
+	sdfg   *mapping.SDFG
+	stats  *mapping.MapStats
 	tiles  int
 	report *RegionReport
 
@@ -274,7 +274,6 @@ func (c *Controller) RunMachine(machine *sim.Machine, hier *mem.Hierarchy, maxSt
 
 	report := &Report{Rejections: c.detector.Rejections}
 	configured := make(map[uint32]*configuredRegion)
-	failed := make(map[uint32]bool)
 
 	var steps uint64
 	for !machine.Halted && steps < maxSteps {
@@ -295,17 +294,15 @@ func (c *Controller) RunMachine(machine *sim.Machine, hier *mem.Hierarchy, maxSt
 		if c.detected != nil {
 			region := c.detected
 			c.detected = nil
-			if failed[region.Start] {
-				continue
-			}
 			if c.rec.Enabled() {
 				c.rec.InstantArgs(obs.PIDController, 0, "fsm", "detect", c.now,
 					map[string]any{"pc": fmt.Sprintf("%#x", region.Start), "insts": region.Len()})
 			}
-			cr, err := c.configure(region, report, &machine.Regs)
+			cr, reason, err := c.configure(region, report, &machine.Regs)
 			if err != nil {
-				// Structural mapping failure: the region stays on the CPU.
-				failed[region.Start] = true
+				// The region stays on the CPU, and the detector never offers
+				// it again.
+				c.detector.reject(region.Start, reason)
 				if c.rec.Enabled() {
 					c.rec.InstantArgs(obs.PIDController, 0, "fsm", "reject", c.now,
 						map[string]any{"reason": err.Error()})
@@ -331,28 +328,29 @@ func (c *Controller) RunMachine(machine *sim.Machine, hier *mem.Hierarchy, maxSt
 }
 
 // configure translates a detected region to a mapped, ready configuration
-// (tasks T1–T3), consulting the configuration cache first.
-func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumRegs]uint32) (*configuredRegion, error) {
+// (tasks T1–T3), consulting the configuration cache first. A region that
+// cannot be configured comes back with the reason it stays on the CPU.
+func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumRegs]uint32) (*configuredRegion, RejectReason, error) {
 	be := c.opts.Backend
 
 	if sdfg, ldfg, tiles, ok := c.cache.Lookup(region.Start); ok {
 		rr := &RegionReport{
-			Region: region, LDFG: ldfg, SDFG: sdfg, Stats: &MapStats{},
+			Region: region, LDFG: ldfg, SDFG: sdfg, Stats: &mapping.MapStats{},
 			Tiles: tiles, ConfigCacheHit: true,
 			ConfigCost: ConfigCost{ConfigWrite: tiles * configStreamCycles(ldfg), Transfer: transferCycles},
 		}
 		rr.OverheadCycles = float64(rr.ConfigCost.Total())
 		report.Regions = append(report.Regions, rr)
-		return &configuredRegion{region: region, ldfg: ldfg, sdfg: sdfg, stats: rr.Stats, tiles: tiles, report: rr}, nil
+		return &configuredRegion{region: region, ldfg: ldfg, sdfg: sdfg, stats: rr.Stats, tiles: tiles, report: rr}, "", nil
 	}
 
 	ldfg, err := BuildLDFG(region.Insts, be.EstimateLat)
 	if err != nil {
-		return nil, err
+		return nil, RejectUnmappable, err
 	}
 	sdfg, stats, err := c.mapRegion(ldfg, 1, nil, "")
 	if err != nil {
-		return nil, err
+		return nil, RejectUnmappable, err
 	}
 
 	// C3 iteration-count estimate from the branch condition (§4.1): the
@@ -362,7 +360,7 @@ func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumReg
 	est, estOK := EstimateTripCount(ldfg, regs)
 	if estOK {
 		if est < minEstimatedIterations {
-			return nil, fmt.Errorf("core: estimated %d remaining iterations, below profitability threshold %d",
+			return nil, RejectFewIterations, fmt.Errorf("core: estimated %d remaining iterations, below profitability threshold %d",
 				est, minEstimatedIterations)
 		}
 		horizon = float64(est)
@@ -379,7 +377,7 @@ func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumReg
 	c.cache.Insert(region.Start, sdfg, ldfg, tiles)
 	report.Regions = append(report.Regions, rr)
 	return &configuredRegion{region: region, ldfg: ldfg, sdfg: sdfg, stats: stats,
-		tiles: tiles, report: rr, delegate: stats.Delegate}, nil
+		tiles: tiles, report: rr, delegate: stats.Delegate}, "", nil
 }
 
 // chooseTiles picks the spatial duplication factor for a parallel loop:
@@ -387,7 +385,7 @@ func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumReg
 // — since every duplicated instance lengthens the configuration stream —
 // the number of tiles beyond which the shared memory ports, not the
 // per-tile recurrence, bound throughput anyway.
-func (c *Controller) chooseTiles(region *Region, ldfg *LDFG, stats *MapStats, horizon float64) int {
+func (c *Controller) chooseTiles(region *Region, ldfg *LDFG, stats *mapping.MapStats, horizon float64) int {
 	if !region.Parallel || !c.opts.EnableTiling {
 		return 1
 	}
@@ -454,13 +452,13 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 	// Revert-on-regression state: after adopting a new mapping, the next
 	// counter window verifies the model's prediction against reality and
 	// rolls back if the measured iteration latency regressed.
-	var prevSDFG *SDFG
-	var prevStats *MapStats
+	var prevSDFG *mapping.SDFG
+	var prevStats *mapping.MapStats
 	var prevAvg float64
 	checkPending := false
 	optimizeDone := false
 
-	swapEngine := func(s *SDFG) error {
+	swapEngine := func(s *mapping.SDFG) error {
 		prevEngine := engine
 		var err error
 		engine, _, err = c.engineFromBitstream(be, cr.ldfg, s, machine.Mem, hier)
@@ -611,7 +609,7 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 // and builds the accelerator engine from the decoded stream, returning the
 // stream size in words, so the bitstream provably carries the complete
 // configuration.
-func (c *Controller) engineFromBitstream(be *accel.Config, ldfg *LDFG, sdfg *SDFG, memory *mem.Memory, hier *mem.Hierarchy) (*accel.Engine, int, error) {
+func (c *Controller) engineFromBitstream(be *accel.Config, ldfg *LDFG, sdfg *mapping.SDFG, memory *mem.Memory, hier *mem.Hierarchy) (*accel.Engine, int, error) {
 	bits, err := accel.EncodeConfig(ldfg.Graph, sdfg.Pos, ldfg.LoopBranch)
 	if err != nil {
 		return nil, 0, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"mesa/internal/accel"
@@ -107,6 +108,35 @@ func TestControllerM64RejectsSRAD(t *testing.T) {
 	}
 	if len(report.Regions) != 0 {
 		t.Fatalf("srad should not qualify on M-64 (got %d regions)", len(report.Regions))
+	}
+	if err := k.Verify(m); err != nil {
+		t.Fatalf("CPU fallback produced wrong results: %v", err)
+	}
+}
+
+// TestControllerM64SRADRejectionReason: srad passes detection on M-64, but
+// its FP ops overflow the FP PEs, so mapping fails. The report must name
+// that reason exactly once (the detector never offers the loop again), and
+// the loop must still run correctly on the CPU.
+func TestControllerM64SRADRejectionReason(t *testing.T) {
+	k, err := kernels.ByName("srad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, loopStart := k.MustProgram()
+	opts := DefaultOptions(accel.M64())
+	opts.Detector.ParallelLoops = map[uint32]bool{loopStart: true}
+	m := k.NewMemory(42)
+	report, _, err := NewController(opts).Run(prog, m, mem.MustHierarchy(mem.DefaultHierarchy()), 20_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Regions) != 0 {
+		t.Fatalf("srad should not map on M-64 (got %d regions)", len(report.Regions))
+	}
+	want := map[RejectReason]int{RejectUnmappable: 1}
+	if !maps.Equal(report.Rejections, want) {
+		t.Errorf("rejections = %v, want %v", report.Rejections, want)
 	}
 	if err := k.Verify(m); err != nil {
 		t.Fatalf("CPU fallback produced wrong results: %v", err)

@@ -281,7 +281,7 @@ func TestFigure4RowSliceVsMesh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, _, err := NewMapper(DefaultMapperOptions()).Map(l, be)
+			s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +322,7 @@ func TestMapperPlacesMemOnEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, stats, err := NewMapper(DefaultMapperOptions()).Map(l, be)
+	s, stats, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestMapperRejectsOversizedRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewMapper(DefaultMapperOptions()).Map(l, be); err == nil {
+	if _, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be); err == nil {
 		t.Fatal("oversized region should fail to map")
 	}
 }
@@ -374,7 +374,7 @@ func TestMapperFPOnlyOnFPPEs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := NewMapper(DefaultMapperOptions()).Map(l, be)
+	s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestConfigCostScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := NewMapper(DefaultMapperOptions()).Map(l, be)
+	_, stats, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestConfigCostScales(t *testing.T) {
 
 func TestConfigCache(t *testing.T) {
 	c := NewConfigCache(2)
-	s := &SDFG{}
+	s := &mapping.SDFG{}
 	l := &LDFG{}
 	c.Insert(0x100, s, l, 1)
 	c.Insert(0x200, s, l, 2)
@@ -453,7 +453,7 @@ func TestSDFGString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := NewMapper(DefaultMapperOptions()).Map(l, be)
+	s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 	if err != nil {
 		t.Fatal(err)
 	}

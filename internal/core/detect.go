@@ -87,7 +87,8 @@ func DefaultDetectorConfig(maxInsts int) DetectorConfig {
 // RejectReason classifies why a candidate loop failed a criterion.
 type RejectReason string
 
-// Rejection reasons surfaced by the detector and CheckRegion.
+// Rejection reasons surfaced by the detector, CheckRegion and the
+// controller's configuration step.
 const (
 	RejectTooLarge       RejectReason = "C1: loop exceeds accelerator capacity"
 	RejectSystemInst     RejectReason = "C2: system instruction in loop"
@@ -98,8 +99,8 @@ const (
 	RejectUnsupportedFP  RejectReason = "C2: FP instruction on non-FP backend"
 	RejectMemHeavy       RejectReason = "C3: unfavorable instruction mix (memory-bound)"
 	RejectFewIterations  RejectReason = "C3: insufficient expected iteration count"
-	RejectNotRepeating   RejectReason = "loop not yet stable"
 	RejectIncompleteTape RejectReason = "trace cache incomplete"
+	RejectUnmappable     RejectReason = "region does not map onto the backend"
 )
 
 // CheckRegion performs the control check (C2) over a candidate region's

@@ -7,6 +7,7 @@ import (
 	"mesa/internal/asm"
 	"mesa/internal/core"
 	"mesa/internal/isa"
+	"mesa/internal/mapping"
 )
 
 // ExampleBuildLDFG shows task T1: translating a loop body into the Logical
@@ -51,7 +52,7 @@ func ExampleMapper_Map() {
 `).Insts
 	be := accel.M128()
 	ldfg, _ := core.BuildLDFG(body, be.EstimateLat)
-	sdfg, stats, _ := core.NewMapper(core.DefaultMapperOptions()).Map(ldfg, be)
+	sdfg, stats, _ := mapping.NewMapper(mapping.DefaultOptions()).Map(ldfg, be)
 
 	// The dependent adds land within one hop of each other.
 	d1 := be.Interconnect.Latency(sdfg.Pos[0], sdfg.Pos[1])
@@ -77,7 +78,7 @@ func ExampleEstimateConfigCost() {
 `).Insts
 	be := accel.M128()
 	ldfg, _ := core.BuildLDFG(body, be.EstimateLat)
-	_, stats, _ := core.NewMapper(core.DefaultMapperOptions()).Map(ldfg, be)
+	_, stats, _ := mapping.NewMapper(mapping.DefaultOptions()).Map(ldfg, be)
 	cost := core.EstimateConfigCost(ldfg, stats, 1)
 	fmt.Printf("sub-microsecond at 2 GHz: %v\n", cost.Micros(2.0) < 1.0)
 	// Output:

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"mesa/internal/mapping"
+)
 
 // ConfigCost models MESA's configuration latency in cycles, following the
 // hardware's state machines (Figure 8 and §5): LDFG construction (renaming,
@@ -43,7 +47,7 @@ func configStreamCycles(l *LDFG) int {
 
 // EstimateConfigCost computes the configuration latency for a mapped region.
 // tiles > 1 replays the configuration stream once per duplicated instance.
-func EstimateConfigCost(l *LDFG, stats *MapStats, tiles int) ConfigCost {
+func EstimateConfigCost(l *LDFG, stats *mapping.MapStats, tiles int) ConfigCost {
 	if tiles < 1 {
 		tiles = 1
 	}
@@ -59,7 +63,7 @@ func EstimateConfigCost(l *LDFG, stats *MapStats, tiles int) ConfigCost {
 // ReconfigureCost is the cost of adopting a new mapping for an
 // already-detected region during iterative optimization: the LDFG is
 // already built, so only remapping and rewriting the configuration remain.
-func ReconfigureCost(l *LDFG, stats *MapStats, tiles int) ConfigCost {
+func ReconfigureCost(l *LDFG, stats *mapping.MapStats, tiles int) ConfigCost {
 	c := EstimateConfigCost(l, stats, tiles)
 	c.LDFGBuild = 0
 	c.Transfer = drainCycles // iteration boundary handoff only

@@ -6,6 +6,7 @@ import (
 
 	"mesa/internal/accel"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 )
 
 func TestImapFSMMatchesCostFormula(t *testing.T) {
@@ -18,11 +19,11 @@ func TestImapFSMMatchesCostFormula(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, sdfg, err := SimulateImapFSM(l, be, DefaultMapperOptions())
+			tr, sdfg, err := mapping.SimulateImapFSM(l, be, mapping.DefaultOptions())
 			if err != nil {
 				t.Skipf("region does not map: %v", err)
 			}
-			_, stats, err := NewMapper(DefaultMapperOptions()).Map(l, be)
+			_, stats, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +37,7 @@ func TestImapFSMMatchesCostFormula(t *testing.T) {
 			// Per-instruction structure: 4 fixed states + >=1 reduce cycle.
 			fixed := 0
 			for _, st := range tr.Steps {
-				if st.State != ImapReduce {
+				if st.State != mapping.ImapReduce {
 					fixed += st.Cycles
 				}
 			}
@@ -58,7 +59,7 @@ func TestImapFSMTimingDiagram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := SimulateImapFSM(l, be, DefaultMapperOptions())
+	tr, _, err := mapping.SimulateImapFSM(l, be, mapping.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestImapFSMTimingDiagram(t *testing.T) {
 }
 
 func TestImapStateString(t *testing.T) {
-	if ImapReduce.String() != "reduce" || ImapIdle.String() != "idle" {
+	if mapping.ImapReduce.String() != "reduce" || mapping.ImapIdle.String() != "idle" {
 		t.Error("state names wrong")
 	}
 }

@@ -37,9 +37,9 @@ func TestMapperInvariantsOnRandomGraphs(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		share := 1 + int(seed%3) // also exercise the time-sharing extension
-		opts := core.DefaultMapperOptions()
+		opts := mapping.DefaultOptions()
 		opts.TimeShare = share
-		s, stats, err := core.NewMapper(opts).Map(l, be)
+		s, stats, err := mapping.NewMapper(opts).Map(l, be)
 		if err != nil {
 			continue // structural rejection is a valid outcome
 		}
@@ -120,11 +120,11 @@ func TestMapperDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l1, be)
+	s1, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l1, be)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l2, be)
+	s2, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l2, be)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"mesa/internal/accel"
+	"mesa/internal/mapping"
 	"mesa/internal/obs"
 )
 
@@ -28,7 +29,7 @@ func (r *Report) AddMetrics(reg *obs.Registry) {
 	var activity accel.Activity
 	var overhead float64
 	var reconfigs, tiles int
-	mapper := map[string]*MapStats{}
+	mapper := map[string]*mapping.MapStats{}
 	// delegates counts, per meta-strategy, which concrete strategy each
 	// region's final placement delegated to (the auto selection policy's
 	// observable output).
@@ -46,7 +47,7 @@ func (r *Report) AddMetrics(reg *obs.Registry) {
 			}
 			agg := mapper[name]
 			if agg == nil {
-				agg = &MapStats{}
+				agg = &mapping.MapStats{}
 				mapper[name] = agg
 			}
 			agg.Nodes += st.Nodes

@@ -13,7 +13,7 @@ import (
 // The paper names the lack of PE time-multiplexing as a limitation of its
 // hardware ("further compounded by MESA's current lack of support for
 // time-multiplexing PEs", §6.2) and future work. These tests cover the
-// reproduction's opt-in extension: MapperOptions.TimeShare > 1 lets up to
+// reproduction's opt-in extension: mapping.Options.TimeShare > 1 lets up to
 // that many instructions share one unit, executions serializing on it.
 
 // TestTimeShareMapsSRADOnM64: srad structurally fails on M-64 (48 FP ops vs

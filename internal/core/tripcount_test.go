@@ -131,6 +131,9 @@ loop:
 	if len(report.Regions) != 0 {
 		t.Fatalf("5-iteration loop should not be accelerated (est too low)")
 	}
+	if got := report.Rejections[RejectFewIterations]; got != 1 {
+		t.Errorf("rejections = %v, want one %q", report.Rejections, RejectFewIterations)
+	}
 }
 
 // TestControllerRecordsEstimate: kernels report their remaining-iteration

@@ -9,13 +9,6 @@ package cpu
 
 import "mesa/internal/isa"
 
-// FUPool describes one class of functional units.
-type FUPool struct {
-	Count     int
-	Latency   int
-	Pipelined bool
-}
-
 // Config parameterizes the out-of-order core.
 type Config struct {
 	Name string
@@ -31,9 +24,10 @@ type Config struct {
 	// misprediction.
 	MispredictPenalty int
 
-	// FUs gives the functional-unit pools by class; loads/stores use
-	// MemPorts and the cache hierarchy's latency.
-	FUs map[isa.Class]FUPool
+	// FUs gives the functional-unit count per class (0: no pool); each
+	// unit's latency and pipelining come from the class's isa.FUTiming.
+	// Loads/stores use MemPorts and the cache hierarchy's latency.
+	FUs [isa.NumClasses]int
 
 	MemPorts int
 
@@ -54,15 +48,10 @@ func DefaultBOOM() Config {
 		ROBSize:           128,
 		DecodeToIssue:     6,
 		MispredictPenalty: 12,
-		FUs: map[isa.Class]FUPool{
-			isa.ClassALU:    {Count: 4, Latency: 1, Pipelined: true},
-			isa.ClassMul:    {Count: 2, Latency: 3, Pipelined: true},
-			isa.ClassDiv:    {Count: 1, Latency: 12, Pipelined: false},
-			isa.ClassFPAdd:  {Count: 2, Latency: 3, Pipelined: true},
-			isa.ClassFPMul:  {Count: 2, Latency: 5, Pipelined: true},
-			isa.ClassFPDiv:  {Count: 1, Latency: 16, Pipelined: false},
-			isa.ClassBranch: {Count: 2, Latency: 1, Pipelined: true},
-			isa.ClassJump:   {Count: 2, Latency: 1, Pipelined: true},
+		FUs: [isa.NumClasses]int{
+			isa.ClassALU: 4, isa.ClassMul: 2, isa.ClassDiv: 1,
+			isa.ClassFPAdd: 2, isa.ClassFPMul: 2, isa.ClassFPDiv: 1,
+			isa.ClassBranch: 2, isa.ClassJump: 2,
 		},
 		MemPorts:         2,
 		StridePrefetcher: true,
@@ -79,15 +68,10 @@ func SingleIssue() Config {
 	c.FetchWidth = 2
 	c.IssueWidth = 2
 	c.ROBSize = 64
-	c.FUs = map[isa.Class]FUPool{
-		isa.ClassALU:    {Count: 2, Latency: 1, Pipelined: true},
-		isa.ClassMul:    {Count: 1, Latency: 3, Pipelined: true},
-		isa.ClassDiv:    {Count: 1, Latency: 12, Pipelined: false},
-		isa.ClassFPAdd:  {Count: 1, Latency: 3, Pipelined: true},
-		isa.ClassFPMul:  {Count: 1, Latency: 5, Pipelined: true},
-		isa.ClassFPDiv:  {Count: 1, Latency: 16, Pipelined: false},
-		isa.ClassBranch: {Count: 1, Latency: 1, Pipelined: true},
-		isa.ClassJump:   {Count: 1, Latency: 1, Pipelined: true},
+	c.FUs = [isa.NumClasses]int{
+		isa.ClassALU: 2, isa.ClassMul: 1, isa.ClassDiv: 1,
+		isa.ClassFPAdd: 1, isa.ClassFPMul: 1, isa.ClassFPDiv: 1,
+		isa.ClassBranch: 1, isa.ClassJump: 1,
 	}
 	c.MemPorts = 1
 	return c

@@ -9,14 +9,14 @@ import (
 
 // Fingerprint writes a deterministic description of every timing-relevant
 // core parameter to w, for content-hash cache keys. The FU pools are
-// emitted in class order, not map order, so equal configs always produce
-// equal fingerprints.
+// emitted in class order, each with its class's isa.FUTiming.
 func (c Config) Fingerprint(w io.Writer) {
 	fmt.Fprintf(w, "cpu|%s|%d|%d|%d|%d|%d|",
 		c.Name, c.FetchWidth, c.IssueWidth, c.ROBSize, c.DecodeToIssue, c.MispredictPenalty)
 	for cls := isa.Class(0); cls < isa.NumClasses; cls++ {
-		if fu, ok := c.FUs[cls]; ok {
-			fmt.Fprintf(w, "fu%d:%d,%d,%t|", cls, fu.Count, fu.Latency, fu.Pipelined)
+		if n := c.FUs[cls]; n > 0 {
+			t := cls.Timing()
+			fmt.Fprintf(w, "fu%d:%d,%d,%t|", cls, n, t.Latency, t.Pipelined)
 		}
 	}
 	fmt.Fprintf(w, "%d|%t|%g", c.MemPorts, c.StridePrefetcher, c.ClockGHz)

@@ -22,10 +22,9 @@ type Core struct {
 
 	regReady [isa.NumRegs]float64
 
-	// Functional-unit state lowered from cfg.FUs to dense per-class tables:
+	// Functional-unit free times per class, one slice per cfg.FUs pool:
 	// fuFree[cls] is nil for a class without a pool.
 	fuFree  [isa.NumClasses][]float64
-	fu      [isa.NumClasses]FUPool
 	memFree []float64
 
 	rob     []float64 // retire times ring buffer
@@ -61,12 +60,10 @@ func NewCore(cfg Config, hier *mem.Hierarchy) *Core {
 		rob:       make([]float64, cfg.ROBSize),
 		issueFree: make([]float64, cfg.IssueWidth),
 	}
-	for cls, pool := range cfg.FUs {
-		if cls >= isa.NumClasses {
-			continue // no instruction has this class
+	for cls, n := range cfg.FUs {
+		if n > 0 {
+			c.fuFree[cls] = make([]float64, n)
 		}
-		c.fuFree[cls] = make([]float64, pool.Count)
-		c.fu[cls] = pool
 	}
 	return c
 }
@@ -247,8 +244,9 @@ func (c *Core) Trace(ev sim.Event) {
 		}
 		fu := earliest(pool)
 		at := max(start, pool[fu])
-		lat := float64(c.fu[cls].Latency)
-		if c.fu[cls].Pipelined {
+		t := cls.Timing()
+		lat := float64(t.Latency)
+		if t.Pipelined {
 			pool[fu] = at + 1
 		} else {
 			pool[fu] = at + lat

@@ -10,6 +10,7 @@ import (
 	"mesa/internal/core"
 	"mesa/internal/isa"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 	"mesa/internal/mem"
 	"mesa/internal/noc"
 )
@@ -25,14 +26,14 @@ import (
 type mapOutcome struct {
 	ok    bool // mapping succeeded (ablations skip kernels that do not map)
 	lat   float64
-	stats core.MapStats
+	stats mapping.MapStats
 }
 
 // mapSuite maps every kernel's hot loop onto the backend with the given
 // mapper options, fanned out over the sweep worker pool. Each placement is
 // memoized (mapLoop), so configurations that coincide — the paper's 4×8
 // window, tie-break on and the half-ring interconnect — share one mapping.
-func mapSuite(opts core.MapperOptions, be *accel.Config) ([]mapOutcome, error) {
+func mapSuite(opts mapping.Options, be *accel.Config) ([]mapOutcome, error) {
 	ks := kernels.All()
 	return runAll(len(ks), func(i int) (mapOutcome, error) {
 		m, err := mapLoop(ks[i], be, opts)
@@ -73,7 +74,7 @@ func WindowAblation() ([]WindowAblationRow, error) {
 	be := accel.M128()
 	var rows []WindowAblationRow
 	for _, cfg := range configs {
-		opts := core.DefaultMapperOptions()
+		opts := mapping.DefaultOptions()
 		opts.WindowRows, opts.WindowCols = cfg.r, cfg.c
 		outcomes, err := mapSuite(opts, be)
 		if err != nil {
@@ -113,7 +114,7 @@ func TieBreakAblation() (*TieBreakAblationResult, error) {
 	be := accel.M128()
 	res := &TieBreakAblationResult{}
 	for _, disable := range []bool{false, true} {
-		opts := core.DefaultMapperOptions()
+		opts := mapping.DefaultOptions()
 		opts.DisableTieBreak = disable
 		outcomes, err := mapSuite(opts, be)
 		if err != nil {
@@ -242,7 +243,7 @@ func runRegionSerial(k *kernels.Kernel, be *accel.Config, forwarding bool) (floa
 		if err != nil {
 			return nil, err
 		}
-		s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
+		s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 		if err != nil {
 			return nil, err
 		}
@@ -308,7 +309,7 @@ func ForwardingAblation() (*ForwardingAblationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
+			s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +360,7 @@ func InterconnectAblation() ([]InterconnectAblationRow, error) {
 	for _, ic := range nets {
 		be := accel.M128()
 		be.Interconnect = ic
-		outcomes, err := mapSuite(core.DefaultMapperOptions(), be)
+		outcomes, err := mapSuite(mapping.DefaultOptions(), be)
 		if err != nil {
 			return nil, err
 		}
@@ -430,69 +431,91 @@ func TimeShareAblation() (*TimeShareAblationResult, error) {
 	return res, nil
 }
 
+// AblationsResult is every ablation study of the suite. Its fields are
+// declared in alphabetical JSON key order, the order mesabench -json
+// prints them in.
+type AblationsResult struct {
+	Forwarding   *ForwardingAblationResult `json:"forwarding"`
+	Interconnect []InterconnectAblationRow `json:"interconnect"`
+	MemOpts      []MemOptAblationRow       `json:"memopts"`
+	TieBreak     *TieBreakAblationResult   `json:"tiebreak"`
+	TimeShare    *TimeShareAblationResult  `json:"timeshare"`
+	Window       []WindowAblationRow       `json:"window"`
+}
+
+// Ablations runs every ablation study.
+func Ablations() (*AblationsResult, error) {
+	var r AblationsResult
+	var err error
+	if r.Window, err = WindowAblation(); err != nil {
+		return nil, err
+	}
+	if r.TieBreak, err = TieBreakAblation(); err != nil {
+		return nil, err
+	}
+	if r.MemOpts, err = MemOptAblation(); err != nil {
+		return nil, err
+	}
+	if r.Forwarding, err = ForwardingAblation(); err != nil {
+		return nil, err
+	}
+	if r.Interconnect, err = InterconnectAblation(); err != nil {
+		return nil, err
+	}
+	if r.TimeShare, err = TimeShareAblation(); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
 // RenderAblations runs every ablation and formats the results.
 func RenderAblations() (string, error) {
-	var b strings.Builder
-
-	win, err := WindowAblation()
+	r, err := Ablations()
 	if err != nil {
 		return "", err
 	}
+	return r.Render(), nil
+}
+
+// Render formats every ablation study as text.
+func (r *AblationsResult) Render() string {
+	var b strings.Builder
+
 	b.WriteString("Ablation A: candidate-window size (Algorithm 1 hardware cost vs quality)\n")
 	b.WriteString(fmt.Sprintf("%-20s %14s %12s %12s %6s\n",
 		"window", "geo iter lat", "cand/inst", "reduce/inst", "bus"))
-	for _, r := range win {
+	for _, row := range r.Window {
 		b.WriteString(fmt.Sprintf("%-20s %14.1f %12.1f %12.1f %6d\n",
-			r.Name, r.GeomeanModeledIter, r.AvgCandidates, r.AvgReduction, r.BusFallbacks))
+			row.Name, row.GeomeanModeledIter, row.AvgCandidates, row.AvgReduction, row.BusFallbacks))
 	}
 
-	tie, err := TieBreakAblation()
-	if err != nil {
-		return "", err
-	}
 	b.WriteString("\nAblation B: free-neighborhood tie-break\n")
-	b.WriteString(fmt.Sprintf("  with:    geo iter lat %.1f, bus fallbacks %d\n", tie.WithGeomean, tie.WithBusFalls))
-	b.WriteString(fmt.Sprintf("  without: geo iter lat %.1f, bus fallbacks %d\n", tie.WithoutGeomean, tie.WithoutBusFalls))
+	b.WriteString(fmt.Sprintf("  with:    geo iter lat %.1f, bus fallbacks %d\n", r.TieBreak.WithGeomean, r.TieBreak.WithBusFalls))
+	b.WriteString(fmt.Sprintf("  without: geo iter lat %.1f, bus fallbacks %d\n", r.TieBreak.WithoutGeomean, r.TieBreak.WithoutBusFalls))
 
-	mo, err := MemOptAblation()
-	if err != nil {
-		return "", err
-	}
 	b.WriteString("\nAblation C: memory optimizations (§4.2), serial iteration latency\n")
 	b.WriteString(fmt.Sprintf("%-22s %10s %12s %10s %10s %10s\n",
 		"config", "speedup", "geo iterlat", "prefetch", "forwarded", "coalesced"))
-	for _, r := range mo {
+	for _, row := range r.MemOpts {
 		b.WriteString(fmt.Sprintf("%-22s %9.2fx %12.1f %10d %10d %10d\n",
-			r.Name, r.GeomeanSpeedup, r.GeomeanIterLat,
-			r.TotalPrefetches, r.TotalForwarded, r.TotalCoalesced))
+			row.Name, row.GeomeanSpeedup, row.GeomeanIterLat,
+			row.TotalPrefetches, row.TotalForwarded, row.TotalCoalesced))
 	}
 
-	fa, err := ForwardingAblation()
-	if err != nil {
-		return "", err
-	}
 	b.WriteString("\nAblation C2: store-to-load forwarding on a store-then-reload loop\n")
-	b.WriteString(fmt.Sprintf("  with forwarding:    %.1f cycles/iter (%d loads elided)\n", fa.WithIterLat, fa.LoadsElided))
-	b.WriteString(fmt.Sprintf("  without forwarding: %.1f cycles/iter\n", fa.WithoutIterLat))
+	b.WriteString(fmt.Sprintf("  with forwarding:    %.1f cycles/iter (%d loads elided)\n", r.Forwarding.WithIterLat, r.Forwarding.LoadsElided))
+	b.WriteString(fmt.Sprintf("  without forwarding: %.1f cycles/iter\n", r.Forwarding.WithoutIterLat))
 
-	ic, err := InterconnectAblation()
-	if err != nil {
-		return "", err
-	}
 	b.WriteString("\nAblation D: backend interconnect (same Algorithm 1, different l(C))\n")
-	for _, r := range ic {
+	for _, row := range r.Interconnect {
 		b.WriteString(fmt.Sprintf("  %-10s geo iter lat %.1f, bus fallbacks %d\n",
-			r.Name, r.GeomeanModeledIter, r.BusFallbacks))
+			row.Name, row.GeomeanModeledIter, row.BusFallbacks))
 	}
 
-	ts, err := TimeShareAblation()
-	if err != nil {
-		return "", err
-	}
 	b.WriteString("\nAblation E: time-multiplexing extension (paper's future work)\n")
 	b.WriteString(fmt.Sprintf("  srad on M-64, 2-way shared: qualified=%v, II %.2f cycles/iter\n",
-		ts.M64Qualified, ts.M64SharedII))
-	b.WriteString(fmt.Sprintf("  srad on M-128, pure spatial: II %.2f cycles/iter\n", ts.M128SpatialII))
+		r.TimeShare.M64Qualified, r.TimeShare.M64SharedII))
+	b.WriteString(fmt.Sprintf("  srad on M-128, pure spatial: II %.2f cycles/iter\n", r.TimeShare.M128SpatialII))
 	b.WriteString("  (without the extension, srad cannot map on M-64 at all)\n")
-	return b.String(), nil
+	return b.String()
 }

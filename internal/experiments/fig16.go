@@ -9,6 +9,7 @@ import (
 	"mesa/internal/core"
 	"mesa/internal/energy"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 )
 
 // Figure16Point is one point of the amortization curve.
@@ -50,7 +51,7 @@ func Figure16() (*Figure16Result, error) {
 	be := accel.M128()
 
 	// Map the region directly so iteration counts can be swept.
-	m, err := mapLoop(k, be, core.DefaultMapperOptions())
+	m, err := mapLoop(k, be, mapping.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

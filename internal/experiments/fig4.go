@@ -7,6 +7,7 @@ import (
 	"mesa/internal/accel"
 	"mesa/internal/asm"
 	"mesa/internal/core"
+	"mesa/internal/mapping"
 	"mesa/internal/noc"
 )
 
@@ -48,7 +49,7 @@ func Figure4() (*Figure4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, _, err := core.NewMapper(core.DefaultMapperOptions()).Map(l, be)
+		s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +58,7 @@ func Figure4() (*Figure4Result, error) {
 			I1:           s.Pos[0],
 			I2:           s.Pos[1],
 			I3:           s.Pos[2],
-			TransferLat:  ic.Latency(s.Pos[0], s.Pos[2]),
+			TransferLat:  int(be.Route(s.Pos[0], s.Pos[2]).Lat),
 		})
 	}
 	return res, nil

@@ -7,6 +7,7 @@ import (
 	"mesa/internal/core"
 	"mesa/internal/isa"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 	"mesa/internal/mem"
 	"mesa/internal/noc"
 	"mesa/internal/sim"
@@ -27,8 +28,8 @@ func regionFor(k *kernels.Kernel) ([]isa.Inst, error) {
 // the memo: read-only.
 type loopMapping struct {
 	l      *core.LDFG
-	s      *core.SDFG
-	stats  core.MapStats
+	s      *mapping.SDFG
+	stats  mapping.MapStats
 	lat    float64 // s.Evaluate().Total
 	mapErr error
 }
@@ -38,7 +39,7 @@ type loopMapping struct {
 // Figure 8 and Figure 16 all need the same default M-128 placements. The
 // error is an LDFG build failure; a loop that does not map is reported
 // through mapErr.
-func mapLoop(k *kernels.Kernel, be *accel.Config, opts core.MapperOptions) (*loopMapping, error) {
+func mapLoop(k *kernels.Kernel, be *accel.Config, opts mapping.Options) (*loopMapping, error) {
 	key := core.Options{Backend: be, MapperOpts: opts}
 	v, err := memoDo("map", k, key.Fingerprint, func() (any, error) {
 		body, err := regionFor(k)
@@ -49,7 +50,7 @@ func mapLoop(k *kernels.Kernel, be *accel.Config, opts core.MapperOptions) (*loo
 		if err != nil {
 			return nil, err
 		}
-		s, stats, err := core.NewMapper(opts).Map(l, be)
+		s, stats, err := mapping.NewMapper(opts).Map(l, be)
 		if err != nil {
 			return &loopMapping{l: l, mapErr: err}, nil
 		}

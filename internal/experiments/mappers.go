@@ -164,7 +164,7 @@ func mappersRowUncached(k *kernels.Kernel) (MappersRow, error) {
 		if err != nil {
 			return MappersRow{}, err
 		}
-		o := core.DefaultMapperOptions()
+		o := mapping.DefaultOptions()
 		if name == "congestion" || name == "auto" {
 			// Feed the attribution measured on the greedy placement — this
 			// is what distinguishes these strategies from their greedy

@@ -12,10 +12,10 @@ import (
 	"testing"
 
 	"mesa/internal/accel"
-	"mesa/internal/core"
 	"mesa/internal/cpu"
 	"mesa/internal/isa"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 )
 
 // rendered adapts an experiment to a render function.
@@ -215,7 +215,7 @@ func TestMemoKeySeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.DefaultMapperOptions()
+	opts := mapping.DefaultOptions()
 	opts.TimeShare = 2
 	step("map time-share", func() error { _, err := mapLoop(k, accel.M128(), opts); return err }, 1)
 }

@@ -10,6 +10,7 @@ import (
 	"mesa/internal/energy"
 	"mesa/internal/isa"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 	"mesa/internal/noc"
 )
 
@@ -89,7 +90,7 @@ func Table2() (*Table2Result, error) {
 	}
 	costs, err := runAll(len(ks), func(i int) (kernelCost, error) {
 		k := ks[i]
-		m, err := mapLoop(k, be, core.DefaultMapperOptions())
+		m, err := mapLoop(k, be, mapping.DefaultOptions())
 		if err != nil {
 			return kernelCost{}, err
 		}
@@ -151,10 +152,10 @@ type Figure2Result struct {
 // Figure2 builds and evaluates the example DFG.
 func Figure2() *Figure2Result {
 	g := dfg.NewGraph()
-	mk := func(op isa.Op, lat float64, srcs ...dfg.NodeID) dfg.NodeID {
+	mk := func(op isa.Op, srcs ...dfg.NodeID) dfg.NodeID {
 		n := dfg.Node{
 			Inst:       isa.Inst{Op: op, Rd: isa.F1, Rs1: isa.F2, Rs2: isa.F3, Rs3: isa.RegNone},
-			OpLat:      lat,
+			OpLat:      float64(op.Class().Timing().Latency),
 			Src:        [3]dfg.NodeID{dfg.None, dfg.None, dfg.None},
 			LiveIn:     [3]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone},
 			MemDep:     dfg.None,
@@ -167,11 +168,11 @@ func Figure2() *Figure2Result {
 		}
 		return g.Add(n)
 	}
-	i1 := mk(isa.OpFADDS, 3)
-	i2 := mk(isa.OpFMULS, 5, i1)
-	i3 := mk(isa.OpFADDS, 3, i2)
-	i4 := mk(isa.OpFMULS, 5, i1)
-	i5 := mk(isa.OpFADDS, 3, i4)
+	i1 := mk(isa.OpFADDS)
+	i2 := mk(isa.OpFMULS, i1)
+	i3 := mk(isa.OpFADDS, i2)
+	i4 := mk(isa.OpFMULS, i1)
+	i5 := mk(isa.OpFADDS, i4)
 	pos := map[dfg.NodeID]noc.Coord{
 		i1: {Row: 0, Col: 0}, i2: {Row: 0, Col: 1}, i3: {Row: 1, Col: 1},
 		i4: {Row: 0, Col: 2}, i5: {Row: 2, Col: 2},
@@ -221,7 +222,7 @@ func Figure8() (*Figure8Result, error) {
 		return nil, err
 	}
 	be := accel.M128()
-	opts := core.DefaultMapperOptions()
+	opts := mapping.DefaultOptions()
 	m, err := mapLoop(k, be, opts)
 	if err != nil {
 		return nil, err
@@ -234,13 +235,13 @@ func Figure8() (*Figure8Result, error) {
 	// The FSM replay maps the loop again, cycle by cycle: memoized too.
 	key := core.Options{Backend: be, MapperOpts: opts}
 	v, err := memoDo("imapfsm", k, key.Fingerprint, func() (any, error) {
-		tr, _, err := core.SimulateImapFSM(l, be, opts)
+		tr, _, err := mapping.SimulateImapFSM(l, be, opts)
 		return tr, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	tr := v.(*core.ImapTrace)
+	tr := v.(*mapping.ImapTrace)
 	return &Figure8Result{
 		Kernel:          k.Name,
 		Instructions:    l.Graph.Len(),

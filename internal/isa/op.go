@@ -203,6 +203,43 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
+// FUTiming is the timing of the functional unit that executes a class: its
+// operation latency in cycles, and whether the unit accepts a new operation
+// every cycle (pipelined) or stays busy for the whole latency.
+type FUTiming struct {
+	Latency   int
+	Pipelined bool
+}
+
+// fuTimings is the one functional-unit timing table, read by the CPU
+// model's FU pools, the accelerator's PE latencies and both baselines. It
+// matches the paper's worked example (FP add/sub 3 cycles, FP multiply 5
+// cycles). Loads and stores have no entry: the memory system times them.
+var fuTimings = [NumClasses]FUTiming{
+	ClassALU:    {Latency: 1, Pipelined: true},
+	ClassMul:    {Latency: 3, Pipelined: true},
+	ClassDiv:    {Latency: 12, Pipelined: false},
+	ClassBranch: {Latency: 1, Pipelined: true},
+	ClassJump:   {Latency: 1, Pipelined: true},
+	ClassFPAdd:  {Latency: 3, Pipelined: true},
+	ClassFPMul:  {Latency: 5, Pipelined: true},
+	ClassFPDiv:  {Latency: 16, Pipelined: false},
+}
+
+// Timing returns the functional-unit timing of the class (zero for the
+// memory, system and invalid classes).
+func (c Class) Timing() FUTiming { return fuTimings[c] }
+
+// ClassLatencies returns every class's functional-unit latency as a
+// per-class table of node weights.
+func ClassLatencies() [NumClasses]float64 {
+	var l [NumClasses]float64
+	for c, t := range fuTimings {
+		l[c] = float64(t.Latency)
+	}
+	return l
+}
+
 var opClasses = [numOps]Class{
 	OpADD: ClassALU, OpSUB: ClassALU, OpSLL: ClassALU, OpSLT: ClassALU,
 	OpSLTU: ClassALU, OpXOR: ClassALU, OpSRL: ClassALU, OpSRA: ClassALU,

@@ -18,7 +18,7 @@ var UnplacedCoord = unplacedCoord
 
 // UnitOccupancy returns the dense occupancy count of the unit at c, a PE or
 // load/store entry.
-func (s *SDFG) UnitOccupancy(c noc.Coord) int { return int(s.occ[s.slot(c)]) }
+func (s *SDFG) UnitOccupancy(c noc.Coord) int { return int(s.occ[s.Backend.Unit(c)]) }
 
 // AnnealStep returns one step of an anneal seeded with s, with the tables
 // Map builds; every call proposes, costs and keeps or undoes one move on s.

@@ -206,20 +206,14 @@ func validateCapacity(l *LDFG, be *accel.Config, share int) error {
 // latencyAt computes the expected completion time of node n if placed at c:
 // Equation 1 over the already-placed parents.
 func (m *Mapper) latencyAt(s *SDFG, n *dfg.Node, c noc.Coord) float64 {
-	be := s.Backend
 	arrival := 0.0
 	consider := func(p dfg.NodeID, ctrl bool) {
 		if p == dfg.None || !s.Placed(p) {
 			return
 		}
-		var lat float64
-		switch {
-		case ctrl:
-			lat = CtrlLat
-		case s.OnBus(p) || c == BusCoord:
-			lat = float64(be.BusLat)
-		default:
-			lat = float64(be.Interconnect.Latency(s.Pos[p], c))
+		lat := float64(accel.CtrlLat)
+		if !ctrl {
+			lat = s.Backend.Route(s.Pos[p], c).Lat
 		}
 		if a := s.Completion[p] + lat; a > arrival {
 			arrival = a
@@ -234,8 +228,8 @@ func (m *Mapper) latencyAt(s *SDFG, n *dfg.Node, c noc.Coord) float64 {
 			hasLiveIn = true
 		}
 	}
-	if hasLiveIn && arrival < LiveInLat {
-		arrival = LiveInLat
+	if hasLiveIn && arrival < accel.LiveInLat {
+		arrival = accel.LiveInLat
 	}
 	consider(n.MemDep, false)
 	consider(n.PredDep, false)
@@ -326,7 +320,7 @@ func (m *Mapper) freeNeighbors(s *SDFG, c noc.Coord) int {
 	count := 0
 	for _, d := range [4]noc.Coord{{Row: -1}, {Row: 1}, {Col: -1}, {Col: 1}} {
 		p := noc.Coord{Row: c.Row + d.Row, Col: c.Col + d.Col}
-		if (s.Backend.InBounds(p) || s.Backend.IsEdge(p)) && s.free(p) {
+		if s.Backend.Unit(p) >= 0 && s.free(p) {
 			count++
 		}
 	}

@@ -130,8 +130,7 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 	stats := &MapStats{Nodes: g.Len()}
 	m := NewMapper(o) // helper reuse: latencyAt, candidate enumeration
 
-	units, unitOf := unitIndex(be)
-	mrt := sched.NewTable(units, ii)
+	mrt := sched.NewTable(be.Units(), ii)
 	memPorts := sched.NewBudget(ii, be.MemPorts)
 	rowLanes := make([]*sched.Budget, be.Rows)
 	for r := range rowLanes {
@@ -139,7 +138,6 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 	}
 
 	rng := rand.New(rand.NewPCG(placementSeed, moduloStream))
-	hr, isHalfRing := be.Interconnect.(noc.HalfRing)
 
 	var scratch []dfg.Edge
 	type choice struct {
@@ -151,19 +149,16 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 	var ties []choice
 	var candidates []noc.Coord
 
-	// nocInputs counts the input edges of n that would ride the shared NoC
-	// if n sat at c, mirroring PredictedII's edge accounting (control edges
-	// ride the broadcast network and are free).
+	// nocInputs counts the input edges of n that would not ride a local
+	// link if n sat at c, mirroring PredictedII's edge accounting (control
+	// edges ride the broadcast network and are free).
 	nocInputs := func(n *dfg.Node, c noc.Coord) int {
 		count := 0
 		for _, e := range scratch {
 			if e.Kind == dfg.DepCtrl || !s.Placed(e.From) {
 				continue
 			}
-			switch {
-			case s.OnBus(e.From) || c == BusCoord:
-				count++
-			case isHalfRing && hr.UsesNoC(s.Pos[e.From], c):
+			if be.Route(s.Pos[e.From], c).Kind != accel.RouteLocal {
 				count++
 			}
 		}
@@ -201,7 +196,7 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 			if t0 < 0 {
 				t0 = 0
 			}
-			unit := unitOf(c)
+			unit := be.Unit(c)
 			issue, overflow := -1, false
 			for dt := 0; dt < moduloTimeSearch*ii; dt++ {
 				t := t0 + dt
@@ -248,7 +243,7 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 		s.place(id, pick.pos)
 		s.Completion[id] = float64(pick.issue) + n.OpLat
 		if !pick.overflow {
-			mrt.Reserve(unitOf(pick.pos), pick.slot)
+			mrt.Reserve(be.Unit(pick.pos), pick.slot)
 		}
 		if isMem {
 			memPorts.Take(pick.slot)
@@ -263,29 +258,4 @@ func scheduleAtII(l *LDFG, be *accel.Config, o Options, share, ii int) (*SDFG, *
 		}
 	}
 	return s, stats
-}
-
-// unitIndex enumerates every spatial unit of the backend — the PE grid in
-// row-major order followed by the edge load/store slots — and returns the
-// count plus a total deterministic position→index function for the modulo
-// reservation table.
-func unitIndex(be *accel.Config) (int, func(noc.Coord) int) {
-	idx := make(map[noc.Coord]int, be.NumPEs())
-	next := 0
-	for r := 0; r < be.Rows; r++ {
-		for c := 0; c < be.Cols; c++ {
-			idx[noc.Coord{Row: r, Col: c}] = next
-			next++
-		}
-	}
-	for r := 0; r < be.Rows; r++ {
-		for _, col := range be.EdgeColumns() {
-			pos := noc.Coord{Row: r, Col: col}
-			if _, dup := idx[pos]; !dup {
-				idx[pos] = next
-				next++
-			}
-		}
-	}
-	return next, func(c noc.Coord) int { return idx[c] }
 }

@@ -17,25 +17,15 @@ var BusCoord = noc.Coord{Row: -128, Col: -128}
 // unplacedCoord marks a node not yet assigned by the mapper.
 var unplacedCoord = noc.Coord{Row: -1 << 20, Col: -1 << 20}
 
-// CtrlLat is the latency of enable-signal delivery over the accelerator's
-// control network (branch predication).
-const CtrlLat = 1
-
-// LiveInLat is the latency for a live-in register value to reach a PE's
-// input buffer at iteration start (values are written during configuration
-// or carried between iterations).
-const LiveInLat = 1
-
 // SDFG is the Spatial Dataflow Graph: the same graph as the LDFG, indexed by
 // 2D position (task T2's output). It binds each node to a virtual coordinate
 // on the backend and serves as MESA's internal architecture model: the
 // performance model evaluated over it predicts accelerator behaviour.
 //
-// Occupancy is a dense count per unit, kept in step with Pos by place and
-// unplace. Unit (row, col) — a PE for 0 ≤ col < Cols, a load/store entry
-// on the EdgeDepth columns either side — is slot
-// row·(Cols+2·EdgeDepth) + col + EdgeDepth. Counts are bytes, so a unit
-// holds at most MaxTimeShare instructions. Who sits where (At, Occupants,
+// Occupancy is a dense count per unit (a PE or load/store entry), indexed
+// by the backend's Unit slot and kept in step with Pos by place and
+// unplace. Counts are bytes, so a unit holds at most MaxTimeShare
+// instructions. Who sits where (At, Occupants,
 // String) is derived from Pos on demand, in node-ID order.
 type SDFG struct {
 	Backend *accel.Config
@@ -53,10 +43,8 @@ type SDFG struct {
 	// mapping as in the paper; >1 enables the time-multiplexing extension).
 	shareLimit int
 
-	// occ counts the nodes on each unit, indexed by slot.
+	// occ counts the nodes on each unit, indexed by Backend.Unit.
 	occ []uint8
-	// stride is the slot count of one row: Cols + 2·EdgeDepth.
-	stride int
 	// edgeCols is Backend.EdgeColumns(), fetched once for the scans.
 	edgeCols []int
 }
@@ -66,14 +54,12 @@ func newSDFG(l *LDFG, be *accel.Config, shareLimit int) *SDFG {
 		shareLimit = 1
 	}
 	n := l.Graph.Len()
-	stride := be.Cols + 2*be.EdgeDepth
 	s := &SDFG{
 		Backend: be, LDFG: l,
 		Pos:        make([]noc.Coord, n),
 		Completion: make([]float64, n),
 		shareLimit: shareLimit,
-		occ:        make([]uint8, be.Rows*stride),
-		stride:     stride,
+		occ:        make([]uint8, be.Units()),
 		edgeCols:   be.EdgeColumns(),
 	}
 	for i := range s.Pos {
@@ -81,9 +67,6 @@ func newSDFG(l *LDFG, be *accel.Config, shareLimit int) *SDFG {
 	}
 	return s
 }
-
-// slot indexes a PE or load/store entry in occ.
-func (s *SDFG) slot(c noc.Coord) int { return c.Row*s.stride + c.Col + s.Backend.EdgeDepth }
 
 // Placed reports whether node id has a position (grid, edge, or bus).
 func (s *SDFG) Placed(id dfg.NodeID) bool { return s.Pos[id] != unplacedCoord }
@@ -119,13 +102,13 @@ func (s *SDFG) Occupants(c noc.Coord) []dfg.NodeID {
 // another instruction (F_free; with time-sharing, up to shareLimit
 // occupants).
 func (s *SDFG) free(c noc.Coord) bool {
-	return int(s.occ[s.slot(c)]) < s.shareLimit
+	return int(s.occ[s.Backend.Unit(c)]) < s.shareLimit
 }
 
 func (s *SDFG) place(id dfg.NodeID, c noc.Coord) {
 	s.Pos[id] = c
 	if c != BusCoord {
-		s.occ[s.slot(c)]++
+		s.occ[s.Backend.Unit(c)]++
 	}
 }
 
@@ -133,7 +116,7 @@ func (s *SDFG) place(id dfg.NodeID, c noc.Coord) {
 // unplace/place pairs to explore alternative placements.
 func (s *SDFG) unplace(id dfg.NodeID) {
 	if c := s.Pos[id]; c != BusCoord && c != unplacedCoord {
-		s.occ[s.slot(c)]--
+		s.occ[s.Backend.Unit(c)]--
 	}
 	s.Pos[id] = unplacedCoord
 }
@@ -156,8 +139,10 @@ func (s *SDFG) copyPlacement(o *SDFG) {
 }
 
 // EdgeLatency is the placement-derived transfer-latency model used to
-// evaluate the SDFG (Equation 2's L_(i,j) terms). Bus-resident endpoints pay
-// the fallback bus latency; pure control edges ride the control network.
+// evaluate the SDFG (Equation 2's L_(i,j) terms): the backend's route
+// latency, which charges bus-resident endpoints the fallback bus latency.
+// Pure control edges ride the control network; an edge with an unplaced
+// end and no bus-resident one costs nothing yet.
 func (s *SDFG) EdgeLatency(from, to dfg.NodeID) float64 {
 	n := s.LDFG.Graph.Node(to)
 	isData := n.PredDep == from || n.MemDep == from
@@ -165,15 +150,12 @@ func (s *SDFG) EdgeLatency(from, to dfg.NodeID) float64 {
 		isData = n.Src[k] == from
 	}
 	if !isData && n.CtrlDep == from {
-		return CtrlLat
+		return accel.CtrlLat
 	}
-	if s.OnBus(from) || s.OnBus(to) {
-		return float64(s.Backend.BusLat)
-	}
-	if !s.Placed(from) || !s.Placed(to) {
+	if (!s.Placed(from) || !s.Placed(to)) && !s.OnBus(from) && !s.OnBus(to) {
 		return 0
 	}
-	return float64(s.Backend.Interconnect.Latency(s.Pos[from], s.Pos[to]))
+	return s.Backend.Route(s.Pos[from], s.Pos[to]).Lat
 }
 
 // Evaluate runs the performance model over the mapped graph, honoring any
@@ -199,8 +181,8 @@ func (s *SDFG) PredictedII(tiles int) float64 {
 // placement-invariant sched.Bounds terms: the recurrence bound RecMII/tiles
 // and the memory-port bound (memory nodes / MemPorts). The NoC term is the
 // only one that depends on placement: it counts, over the non-control
-// edges, those with a bus-resident end or a half-ring route over the
-// network. An iiModel is valid for one graph while its OpLat weights are
+// edges, those whose route is not a local link — NoC routes and, unlike
+// the engine's measured NoC bound, bus-fallback routes too. An iiModel is valid for one graph while its OpLat weights are
 // unchanged, so it is built per Map call and never cached across calls
 // (engine feedback rewrites OpLat between optimization rounds). A
 // placement-dependent RecMII, such as a recurrence chain that includes
@@ -209,9 +191,7 @@ type iiModel struct {
 	tiles    int
 	dep, mem float64
 	// edges lists the graph's non-control edges in Parents order.
-	edges      []dfg.Edge
-	hr         noc.HalfRing
-	isHalfRing bool
+	edges []dfg.Edge
 	// nocLanes is the NoC transfer capacity per cycle: lanes per row × rows.
 	nocLanes int
 }
@@ -235,7 +215,6 @@ func (s *SDFG) newIIModel(tiles int) *iiModel {
 			m.edges = append(m.edges, e)
 		}
 	}
-	m.hr, m.isHalfRing = be.Interconnect.(noc.HalfRing)
 	return m
 }
 
@@ -243,11 +222,7 @@ func (s *SDFG) newIIModel(tiles int) *iiModel {
 func (m *iiModel) predict(s *SDFG) float64 {
 	nocN := 0
 	for _, e := range m.edges {
-		from, to := s.Pos[e.From], s.Pos[e.To]
-		switch {
-		case from == BusCoord || to == BusCoord:
-			nocN++
-		case m.isHalfRing && m.hr.UsesNoC(from, to):
+		if s.Backend.Route(s.Pos[e.From], s.Pos[e.To]).Kind != accel.RouteLocal {
 			nocN++
 		}
 	}
@@ -275,7 +250,7 @@ func (s *SDFG) Utilization() float64 {
 	used := 0
 	for r := 0; r < be.Rows; r++ {
 		for c := 0; c < be.Cols; c++ {
-			if s.occ[s.slot(noc.Coord{Row: r, Col: c})] > 0 {
+			if s.occ[s.Backend.Unit(noc.Coord{Row: r, Col: c})] > 0 {
 				used++
 			}
 		}

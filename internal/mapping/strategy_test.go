@@ -6,8 +6,10 @@ import (
 
 	"mesa/internal/accel"
 	"mesa/internal/core"
+	"mesa/internal/dfg"
 	"mesa/internal/kernels"
 	"mesa/internal/mapping"
+	"mesa/internal/sched"
 )
 
 // hotLoop extracts a kernel's hot-loop body (the same slice the experiments
@@ -212,5 +214,44 @@ func TestTimeShareBound(t *testing.T) {
 				t.Errorf("%s TimeShare %d: error %q does not name the time-share bound", name, tc.share, err)
 			}
 		}
+	}
+}
+
+// TestPredictedIICountsBusEdges pins the mapper's NoC term on a placement
+// with every node on the fallback bus: each non-control edge has a
+// bus-resident end, so each counts against the NoC lanes, and the NoC bound
+// limits srad at 64 tiles.
+func TestPredictedIICountsBusEdges(t *testing.T) {
+	k, err := kernels.ByName("srad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := hotLoop(t, k)
+	be := accel.M128()
+	s, _, err := mapping.NewMapper(mapping.DefaultOptions()).Map(l, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.Pos {
+		s.Pos[i] = mapping.BusCoord
+	}
+	dataEdges := 0
+	for _, e := range l.Graph.Edges(nil) {
+		if e.Kind != dfg.DepCtrl {
+			dataEdges++
+		}
+	}
+	const tiles = 64
+	b := sched.Bounds{
+		Dependence: sched.RecMII(l.Graph, sched.OpLat, true) / tiles,
+		MemPorts:   float64(sched.MemOps(l.Graph)) / float64(be.MemPorts),
+		NoC:        float64(dataEdges) / float64(be.NoCLanes()*be.Rows),
+	}
+	want, bound := b.II(tiles)
+	if bound != "noc" {
+		t.Fatalf("srad's all-bus II is bound by %s, not the NoC term (%+v)", bound, b)
+	}
+	if got := s.PredictedII(tiles); got != want {
+		t.Errorf("PredictedII = %v, want %v (%d data edges on the bus)", got, want, dataEdges)
 	}
 }

@@ -96,30 +96,32 @@ func (HalfRing) Name() string { return "halfring" }
 
 // Latency implements Interconnect.
 func (h HalfRing) Latency(from, to Coord) int {
-	d := ManhattanDist(from, to)
-	if d == 0 {
-		return 0
-	}
-	if d <= h.LocalReach {
-		return d // direct PE-PE link, one cycle per hop
-	}
-	// Diagonal neighbors route through two local hops.
-	if abs(from.Row-to.Row) <= h.LocalReach && abs(from.Col-to.Col) <= h.LocalReach {
-		return 2
-	}
-	hops := abs(from.Row-to.Row) + (abs(from.Col-to.Col)+h.SliceSize-1)/h.SliceSize
-	return h.InjectLat + hops*h.RouterLat
+	lat, _ := h.Transfer(from, to)
+	return lat
 }
 
 // UsesNoC reports whether a transfer between the two coordinates rides the
 // shared network (true) or a dedicated local link (false). The execution
 // engine applies contention only to NoC transfers.
 func (h HalfRing) UsesNoC(from, to Coord) bool {
-	if from == to {
-		return false
+	_, network := h.Transfer(from, to)
+	return network
+}
+
+// Transfer returns a transfer's uncontended latency and whether it rides
+// the shared network, Latency and UsesNoC in one evaluation.
+func (h HalfRing) Transfer(from, to Coord) (lat int, network bool) {
+	dr, dc := abs(from.Row-to.Row), abs(from.Col-to.Col)
+	switch d := dr + dc; {
+	case d == 0:
+		return 0, false
+	case d <= h.LocalReach:
+		return d, false // direct PE-PE link, one cycle per hop
+	case dr <= h.LocalReach && dc <= h.LocalReach:
+		return 2, false // diagonal neighbors route through two local hops
 	}
-	return ManhattanDist(from, to) > h.LocalReach &&
-		!(abs(from.Row-to.Row) <= h.LocalReach && abs(from.Col-to.Col) <= h.LocalReach)
+	hops := dr + (dc+h.SliceSize-1)/h.SliceSize
+	return h.InjectLat + hops*h.RouterLat, true
 }
 
 // Ideal is a zero-latency interconnect, used for the "ideal scaling" series
