@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,10 +9,50 @@ import (
 	"mesa/internal/noc"
 )
 
-func configPrint(c *Config) string {
-	var b strings.Builder
-	c.Fingerprint(&b)
-	return b.String()
+func configPrint(c *Config) string { return string(c.AppendFingerprint(nil)) }
+
+// configMutations perturbs each Config field in turn; a name's first word
+// is the field it perturbs (TestConfigFingerprintFieldCensus checks that
+// every field has one).
+var configMutations = []struct {
+	name   string
+	mutate func(c *Config)
+}{
+	{"Name", func(c *Config) { c.Name = "M-128-variant" }},
+	{"Rows", func(c *Config) { c.Rows++ }},
+	{"Cols", func(c *Config) { c.Cols++ }},
+	{"EdgeDepth", func(c *Config) { c.EdgeDepth++ }},
+	{"FPSlice", func(c *Config) { c.FPSlice++ }},
+	{"Interconnect type", func(c *Config) { c.Interconnect = noc.DefaultRowSlice() }},
+	{"Interconnect value", func(c *Config) {
+		hr := noc.DefaultHalfRing()
+		hr.RouterLat++
+		c.Interconnect = hr
+	}},
+	{"NoCLanesPerRow", func(c *Config) { c.NoCLanesPerRow++ }},
+	{"MemPorts", func(c *Config) { c.MemPorts++ }},
+	{"OpLat", func(c *Config) { c.OpLat[isa.ClassALU]++ }},
+	{"LoadLatEstimate", func(c *Config) { c.LoadLatEstimate++ }},
+	{"BusLat", func(c *Config) { c.BusLat++ }},
+	{"EnablePrefetch", func(c *Config) { c.EnablePrefetch = !c.EnablePrefetch }},
+	{"EnableVectorization", func(c *Config) { c.EnableVectorization = !c.EnableVectorization }},
+	{"ClockGHz", func(c *Config) { c.ClockGHz++ }},
+}
+
+// TestConfigFingerprintFieldCensus: every Config field has an entry in
+// configMutations, so a field added later cannot be left out of the
+// hand-written fingerprint unnoticed.
+func TestConfigFingerprintFieldCensus(t *testing.T) {
+	mutated := map[string]bool{}
+	for _, m := range configMutations {
+		mutated[strings.Fields(m.name)[0]] = true
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i).Name; !mutated[f] {
+			t.Errorf("Config.%s has no entry in configMutations", f)
+		}
+	}
 }
 
 // TestConfigFingerprintDistinguishesEveryField: every Config field is
@@ -19,33 +60,8 @@ func configPrint(c *Config) string {
 // fingerprint — a collision would let the memo cache (and the mesad response
 // store) serve one configuration's timing for another.
 func TestConfigFingerprintDistinguishesEveryField(t *testing.T) {
-	muts := []struct {
-		name   string
-		mutate func(c *Config)
-	}{
-		{"Name", func(c *Config) { c.Name = "M-128-variant" }},
-		{"Rows", func(c *Config) { c.Rows++ }},
-		{"Cols", func(c *Config) { c.Cols++ }},
-		{"EdgeDepth", func(c *Config) { c.EdgeDepth++ }},
-		{"FPSlice", func(c *Config) { c.FPSlice++ }},
-		{"Interconnect type", func(c *Config) { c.Interconnect = noc.DefaultRowSlice() }},
-		{"Interconnect value", func(c *Config) {
-			hr := noc.DefaultHalfRing()
-			hr.RouterLat++
-			c.Interconnect = hr
-		}},
-		{"NoCLanesPerRow", func(c *Config) { c.NoCLanesPerRow++ }},
-		{"MemPorts", func(c *Config) { c.MemPorts++ }},
-		{"OpLat", func(c *Config) { c.OpLat[isa.ClassALU]++ }},
-		{"LoadLatEstimate", func(c *Config) { c.LoadLatEstimate++ }},
-		{"BusLat", func(c *Config) { c.BusLat++ }},
-		{"EnablePrefetch", func(c *Config) { c.EnablePrefetch = !c.EnablePrefetch }},
-		{"EnableVectorization", func(c *Config) { c.EnableVectorization = !c.EnableVectorization }},
-		{"ClockGHz", func(c *Config) { c.ClockGHz++ }},
-	}
-
 	prints := map[string]string{"base": configPrint(M128())}
-	for _, m := range muts {
+	for _, m := range configMutations {
 		c := M128()
 		m.mutate(c)
 		fp := configPrint(c)
@@ -66,7 +82,7 @@ func TestConfigFingerprintDistinguishesEveryField(t *testing.T) {
 // TestConfigFingerprintGolden pins the fingerprint bytes of the paper's
 // three configurations and of variants with every other interconnect and
 // fractional floats. The memo and mesad's response store key on these
-// bytes, so any rewrite of Fingerprint must reproduce them exactly.
+// bytes, so any rewrite of AppendFingerprint must reproduce them exactly.
 func TestConfigFingerprintGolden(t *testing.T) {
 	variant := M128()
 	variant.Name = "M-128 rowslice"

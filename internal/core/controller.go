@@ -47,7 +47,7 @@ type Options struct {
 
 	// Mapper is the placement strategy (nil selects mapping.Default(), the
 	// paper's greedy hardware mapper). The strategy name participates in
-	// Fingerprint, so cached results never cross strategies.
+	// AppendFingerprint, so cached results never cross strategies.
 	Mapper mapping.Strategy
 
 	// MapperOpts tunes Algorithm 1's hardware parameters; every strategy

@@ -1,31 +1,34 @@
 package core
 
 import (
-	"fmt"
-	"io"
-	"sort"
+	"slices"
+	"strconv"
 )
 
-// Fingerprint writes a deterministic description of every option that can
-// affect the controller's simulated behaviour to w, for content-hash cache
-// keys. The Recorder is deliberately excluded: tracing never perturbs
-// architectural or timing state (enforced by TestObservabilityDifferential),
-// and callers that trace bypass result caching anyway.
-func (o *Options) Fingerprint(w io.Writer) {
-	io.WriteString(w, "core|")
-	o.Backend.Fingerprint(w)
+// AppendFingerprint appends a deterministic description of every option
+// that can affect the controller's simulated behaviour to b, for
+// content-hash cache keys. The Recorder is deliberately excluded: tracing
+// never perturbs architectural or timing state (enforced by
+// TestObservabilityDifferential), and callers that trace bypass result
+// caching anyway.
+func (o *Options) AppendFingerprint(b []byte) []byte {
+	b = o.Backend.AppendFingerprint(append(b, "core|"...))
 	d := &o.Detector
-	fmt.Fprintf(w, "|det|%d|%d|%d|%t|",
-		d.MaxInsts, d.StableIterations, d.MinIterations, d.SupportsFP)
-	addrs := make([]uint32, 0, len(d.ParallelLoops))
+	b = append(b, "|det|"...)
+	for _, v := range [...]int{d.MaxInsts, d.StableIterations, d.MinIterations} {
+		b = append(strconv.AppendInt(b, int64(v), 10), '|')
+	}
+	b = append(strconv.AppendBool(b, d.SupportsFP), '|')
+	var small [8]uint32 // a kernel annotates one loop: sort without allocating
+	addrs := small[:0]
 	for a, ok := range d.ParallelLoops {
 		if ok {
 			addrs = append(addrs, a)
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, a := range addrs {
-		fmt.Fprintf(w, "p%d|", a)
+		b = append(strconv.AppendUint(append(b, 'p'), uint64(a), 10), '|')
 	}
 	// The strategy name keys the placement algorithm itself, so cached
 	// results from one strategy are never served for another. MapperOpts
@@ -38,8 +41,14 @@ func (o *Options) Fingerprint(w io.Writer) {
 		name = o.Mapper.Name()
 	}
 	m := &o.MapperOpts
-	fmt.Fprintf(w, "map|%s|%d|%d|%t|%d|%d|",
-		name, m.WindowRows, m.WindowCols, m.DisableTieBreak, m.TimeShare, m.Tiles)
-	fmt.Fprintf(w, "%d|%d|%t|%t",
-		o.OptimizeBatch, o.MaxOptimizeRounds, o.EnableTiling, o.EnablePipelining)
+	b = append(append(b, "map|"...), name...)
+	b = strconv.AppendInt(append(b, '|'), int64(m.WindowRows), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(m.WindowCols), 10)
+	b = strconv.AppendBool(append(b, '|'), m.DisableTieBreak)
+	b = strconv.AppendInt(append(b, '|'), int64(m.TimeShare), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(m.Tiles), 10)
+	b = strconv.AppendUint(append(b, '|'), o.OptimizeBatch, 10)
+	b = strconv.AppendInt(append(b, '|'), int64(o.MaxOptimizeRounds), 10)
+	b = strconv.AppendBool(append(b, '|'), o.EnableTiling)
+	return strconv.AppendBool(append(b, '|'), o.EnablePipelining)
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"mesa/internal/accel"
@@ -11,9 +11,7 @@ import (
 
 func fingerprintOf(t *testing.T, o *Options) string {
 	t.Helper()
-	var b strings.Builder
-	o.Fingerprint(&b)
-	return b.String()
+	return string(o.AppendFingerprint(nil))
 }
 
 // TestFingerprintDistinguishesStrategies: the memo-cache key must change
@@ -46,40 +44,84 @@ func TestFingerprintDistinguishesStrategies(t *testing.T) {
 	}
 }
 
+// optionMutations perturbs each semantics-bearing Options field in turn,
+// named by its path ("Detector.MaxInsts").
+var optionMutations = []struct {
+	name   string
+	mutate func(o *Options)
+}{
+	{"Backend", func(o *Options) { o.Backend = accel.M512() }},
+	{"Detector.MaxInsts", func(o *Options) { o.Detector.MaxInsts++ }},
+	{"Detector.StableIterations", func(o *Options) { o.Detector.StableIterations++ }},
+	{"Detector.MinIterations", func(o *Options) { o.Detector.MinIterations++ }},
+	{"Detector.SupportsFP", func(o *Options) { o.Detector.SupportsFP = !o.Detector.SupportsFP }},
+	{"Detector.ParallelLoops", func(o *Options) { o.Detector.ParallelLoops = map[uint32]bool{0x1000: true} }},
+	{"Mapper", func(o *Options) {
+		congestion, err := mapping.ByName("congestion")
+		if err != nil {
+			panic(err)
+		}
+		o.Mapper = congestion
+	}},
+	{"MapperOpts.WindowRows", func(o *Options) { o.MapperOpts.WindowRows++ }},
+	{"MapperOpts.WindowCols", func(o *Options) { o.MapperOpts.WindowCols++ }},
+	{"MapperOpts.DisableTieBreak", func(o *Options) { o.MapperOpts.DisableTieBreak = !o.MapperOpts.DisableTieBreak }},
+	{"MapperOpts.TimeShare", func(o *Options) { o.MapperOpts.TimeShare = 4 }},
+	{"MapperOpts.Tiles", func(o *Options) { o.MapperOpts.Tiles = 2 }},
+	{"OptimizeBatch", func(o *Options) { o.OptimizeBatch++ }},
+	{"MaxOptimizeRounds", func(o *Options) { o.MaxOptimizeRounds++ }},
+	{"EnableTiling", func(o *Options) { o.EnableTiling = !o.EnableTiling }},
+	{"EnablePipelining", func(o *Options) { o.EnablePipelining = !o.EnablePipelining }},
+}
+
+// fingerprintExclusions are the Options fields the fingerprint leaves out
+// on purpose (TestFingerprintExcludesMechanismKnobs says why).
+var fingerprintExclusions = []string{"Recorder", "MapperOpts.Attrib", "MapperOpts.Sticky"}
+
+// TestFingerprintFieldCensus: every Options field — and every field of the
+// DetectorConfig and mapping.Options it embeds by value — is either in
+// optionMutations or in fingerprintExclusions, so a field added later
+// cannot be left out of the hand-written fingerprint unnoticed. The
+// backend's own fields are accel's census.
+func TestFingerprintFieldCensus(t *testing.T) {
+	listed := map[string]string{}
+	for _, m := range optionMutations {
+		listed[m.name] = "optionMutations"
+	}
+	for _, name := range fingerprintExclusions {
+		listed[name] = "fingerprintExclusions"
+	}
+	var fields []string
+	typ := reflect.TypeOf(Options{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Struct {
+			fields = append(fields, f.Name)
+			continue
+		}
+		for j := range f.Type.NumField() {
+			fields = append(fields, f.Name+"."+f.Type.Field(j).Name)
+		}
+	}
+	for _, name := range fields {
+		if listed[name] == "" {
+			t.Errorf("Options field %s is neither in optionMutations nor in fingerprintExclusions", name)
+		}
+		delete(listed, name)
+	}
+	for name, list := range listed {
+		t.Errorf("%s names %s, which is not an Options field", list, name)
+	}
+}
+
 // TestFingerprintDistinguishesEveryOption: every semantics-bearing Options
 // field must perturb the fingerprint — a collision would let the memo cache
 // serve one configuration's result for another.
 func TestFingerprintDistinguishesEveryOption(t *testing.T) {
-	congestion, err := mapping.ByName("congestion")
-	if err != nil {
-		t.Fatal(err)
-	}
-	muts := []struct {
-		name   string
-		mutate func(o *Options)
-	}{
-		{"Backend", func(o *Options) { o.Backend = accel.M512() }},
-		{"Detector.MaxInsts", func(o *Options) { o.Detector.MaxInsts++ }},
-		{"Detector.StableIterations", func(o *Options) { o.Detector.StableIterations++ }},
-		{"Detector.MinIterations", func(o *Options) { o.Detector.MinIterations++ }},
-		{"Detector.SupportsFP", func(o *Options) { o.Detector.SupportsFP = !o.Detector.SupportsFP }},
-		{"Detector.ParallelLoops", func(o *Options) { o.Detector.ParallelLoops = map[uint32]bool{0x1000: true} }},
-		{"Mapper", func(o *Options) { o.Mapper = congestion }},
-		{"MapperOpts.WindowRows", func(o *Options) { o.MapperOpts.WindowRows++ }},
-		{"MapperOpts.WindowCols", func(o *Options) { o.MapperOpts.WindowCols++ }},
-		{"MapperOpts.DisableTieBreak", func(o *Options) { o.MapperOpts.DisableTieBreak = !o.MapperOpts.DisableTieBreak }},
-		{"MapperOpts.TimeShare", func(o *Options) { o.MapperOpts.TimeShare = 4 }},
-		{"MapperOpts.Tiles", func(o *Options) { o.MapperOpts.Tiles = 2 }},
-		{"OptimizeBatch", func(o *Options) { o.OptimizeBatch++ }},
-		{"MaxOptimizeRounds", func(o *Options) { o.MaxOptimizeRounds++ }},
-		{"EnableTiling", func(o *Options) { o.EnableTiling = !o.EnableTiling }},
-		{"EnablePipelining", func(o *Options) { o.EnablePipelining = !o.EnablePipelining }},
-	}
-
 	prints := map[string]string{"base": fingerprintOf(t, &Options{Backend: accel.M128()})}
 	base := DefaultOptions(accel.M128())
 	prints["defaults"] = fingerprintOf(t, &base)
-	for _, m := range muts {
+	for _, m := range optionMutations {
 		o := DefaultOptions(accel.M128())
 		m.mutate(&o)
 		fp := fingerprintOf(t, &o)
@@ -123,7 +165,7 @@ func TestFingerprintExcludesMechanismKnobs(t *testing.T) {
 // TestFingerprintGolden pins the option fingerprint bytes of the M-128
 // defaults under every registered strategy, and of an M-64 variant with
 // parallel loops and non-default mapper options. The memo keys on these
-// bytes, so any rewrite of Fingerprint must reproduce them exactly.
+// bytes, so any rewrite of AppendFingerprint must reproduce them exactly.
 func TestFingerprintGolden(t *testing.T) {
 	const m128 = "core|accel|M-128|16|8|2|2|noc.HalfRing{SliceSize:4 LocalReach:1 InjectLat:2 RouterLat:1}|2|8|[0 1 3 12 0 0 1 1 3 5 16 0]|3|8|true|false|2|det|192|3|3|true|"
 	want := map[string]string{

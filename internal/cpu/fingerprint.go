@@ -1,30 +1,41 @@
 package cpu
 
 import (
-	"fmt"
-	"io"
+	"strconv"
 
+	"mesa/internal/fingerprint"
 	"mesa/internal/isa"
 )
 
-// Fingerprint writes a deterministic description of every timing-relevant
-// core parameter to w, for content-hash cache keys. The FU pools are
-// emitted in class order, each with its class's isa.FUTiming.
-func (c Config) Fingerprint(w io.Writer) {
-	fmt.Fprintf(w, "cpu|%s|%d|%d|%d|%d|%d|",
-		c.Name, c.FetchWidth, c.IssueWidth, c.ROBSize, c.DecodeToIssue, c.MispredictPenalty)
+// AppendFingerprint appends a deterministic description of every
+// timing-relevant core parameter to b, for content-hash cache keys. The FU
+// pools are emitted in class order, each with its class's isa.FUTiming.
+func (c Config) AppendFingerprint(b []byte) []byte {
+	b = append(append(b, "cpu|"...), c.Name...)
+	for _, v := range [...]int{c.FetchWidth, c.IssueWidth, c.ROBSize, c.DecodeToIssue, c.MispredictPenalty} {
+		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
+	}
+	b = append(b, '|')
 	for cls := isa.Class(0); cls < isa.NumClasses; cls++ {
 		if n := c.FUs[cls]; n > 0 {
 			t := cls.Timing()
-			fmt.Fprintf(w, "fu%d:%d,%d,%t|", cls, n, t.Latency, t.Pipelined)
+			b = strconv.AppendInt(append(b, "fu"...), int64(cls), 10)
+			b = strconv.AppendInt(append(b, ':'), int64(n), 10)
+			b = strconv.AppendInt(append(b, ','), int64(t.Latency), 10)
+			b = strconv.AppendBool(append(b, ','), t.Pipelined)
+			b = append(b, '|')
 		}
 	}
-	fmt.Fprintf(w, "%d|%t|%g", c.MemPorts, c.StridePrefetcher, c.ClockGHz)
+	b = strconv.AppendInt(b, int64(c.MemPorts), 10)
+	b = strconv.AppendBool(append(b, '|'), c.StridePrefetcher)
+	return fingerprint.AppendFloat(append(b, '|'), c.ClockGHz)
 }
 
-// Fingerprint writes a deterministic description of the multicore baseline
-// parameters (including the per-core config) to w.
-func (mc MulticoreConfig) Fingerprint(w io.Writer) {
-	fmt.Fprintf(w, "mc|%d|%g|%d|", mc.Cores, mc.ForkJoinOverhead, mc.SampleChunks)
-	mc.Core.Fingerprint(w)
+// AppendFingerprint appends a deterministic description of the multicore
+// baseline parameters (including the per-core config) to b.
+func (mc MulticoreConfig) AppendFingerprint(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "mc|"...), int64(mc.Cores), 10)
+	b = fingerprint.AppendFloat(append(b, '|'), mc.ForkJoinOverhead)
+	b = strconv.AppendInt(append(b, '|'), int64(mc.SampleChunks), 10)
+	return mc.Core.AppendFingerprint(append(b, '|'))
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"mesa/internal/accel"
@@ -231,9 +230,8 @@ type regionRun struct {
 // with explicit LDFG options and returns the average iteration latency.
 // Memoized under the "region" kind.
 func runRegionSerial(k *kernels.Kernel, be *accel.Config, forwarding bool) (float64, regionStats, error) {
-	v, err := memoDo("region", k, func(w io.Writer) {
-		be.Fingerprint(w)
-		fmt.Fprintf(w, "|fwd%t|iters%d|", forwarding, regionIters)
+	v, err := memoDo("region", k, func(b []byte) []byte {
+		return fmt.Appendf(be.AppendFingerprint(b), "|fwd%t|iters%d|", forwarding, regionIters)
 	}, func() (any, error) {
 		body, err := regionFor(k)
 		if err != nil {
@@ -301,9 +299,8 @@ func ForwardingAblation() (*ForwardingAblationResult, error) {
 	be := accel.M128()
 	res := &ForwardingAblationResult{}
 	for _, fwd := range []bool{true, false} {
-		v, err := memoDoProgram("fwd", prog, func(w io.Writer) {
-			be.Fingerprint(w)
-			fmt.Fprintf(w, "|fwd%t|", fwd)
+		v, err := memoDoProgram("fwd", prog, func(b []byte) []byte {
+			return fmt.Appendf(be.AppendFingerprint(b), "|fwd%t|", fwd)
 		}, func() (any, error) {
 			l, err := core.BuildLDFGOpts(body, be.EstimateLat, core.LDFGOptions{DisableForwarding: !fwd})
 			if err != nil {

@@ -37,7 +37,7 @@ type CPURun struct {
 // memoized across experiments (see memo.go): treat the returned CPURun as
 // read-only.
 func TimeSingleCore(k *kernels.Kernel, cfg cpu.Config) (*CPURun, error) {
-	v, err := memoDo("cpu1", k, cfg.Fingerprint, func() (any, error) {
+	v, err := memoDo("cpu1", k, cfg.AppendFingerprint, func() (any, error) {
 		return timeSingleCoreUncached(k, cfg)
 	})
 	if err != nil {
@@ -75,7 +75,7 @@ func TimeMulticore(k *kernels.Kernel, mc cpu.MulticoreConfig) (*CPURun, error) {
 	// full program, so hashing the latter (plus the multicore config)
 	// contents-addresses the whole parallel run. Treat the result as
 	// read-only (shared across cache hits).
-	v, err := memoDo("cpuN", k, mc.Fingerprint, func() (any, error) {
+	v, err := memoDo("cpuN", k, mc.AppendFingerprint, func() (any, error) {
 		return timeMulticoreUncached(k, mc)
 	})
 	if err != nil {
@@ -157,7 +157,7 @@ func RunMESA(k *kernels.Kernel, be *accel.Config, cpuPerIter float64, o MESAOpti
 // time-sharing ablation, keyed on the full controller options. The shared
 // Report must be treated as read-only.
 func mesaReport(k *kernels.Kernel, be *accel.Config, prog *isa.Program, opts core.Options) (*core.Report, error) {
-	v, err := memoDo("mesa", k, opts.Fingerprint, func() (any, error) {
+	v, err := memoDo("mesa", k, opts.AppendFingerprint, func() (any, error) {
 		return runMESAUncached(k, be, prog, opts)
 	})
 	if err != nil {
@@ -167,7 +167,7 @@ func mesaReport(k *kernels.Kernel, be *accel.Config, prog *isa.Program, opts cor
 }
 
 // mesaControllerOptions translates a RunMESA invocation into controller
-// options. The strategy participates in opts.Fingerprint, so runs under
+// options. The strategy participates in opts.AppendFingerprint, so runs under
 // different mappers never share a memo entry.
 func mesaControllerOptions(k *kernels.Kernel, loopStart uint32, be *accel.Config, o MESAOptions) core.Options {
 	opts := core.DefaultOptions(be)

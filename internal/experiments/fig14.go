@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"mesa/internal/accel"
@@ -120,9 +119,8 @@ func Figure14() (*Figure14Result, error) {
 func dynaSpamCycles(k *kernels.Kernel) (float64, error) {
 	be := accel.M64()
 	cfg := dynaspam.Default()
-	v, err := memoDo("dynaspam", k, func(w io.Writer) {
-		be.Fingerprint(w)
-		fmt.Fprintf(w, "|dynaspam|%+v|", cfg)
+	v, err := memoDo("dynaspam", k, func(b []byte) []byte {
+		return fmt.Appendf(be.AppendFingerprint(b), "|dynaspam|%+v|", cfg)
 	}, func() (any, error) {
 		prog, loopStart, err := k.Program()
 		if err != nil {

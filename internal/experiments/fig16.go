@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"mesa/internal/accel"
@@ -95,9 +94,8 @@ func Figure16() (*Figure16Result, error) {
 // checkpoint within the trip count, and returns the engine's cumulative
 // activity after each. The engine run is memoized under the "fig16" kind.
 func figure16Activity(k *kernels.Kernel, be *accel.Config, m *loopMapping) ([]accel.Activity, error) {
-	v, err := memoDo("fig16", k, func(w io.Writer) {
-		be.Fingerprint(w)
-		fmt.Fprintf(w, "|checkpoints%v|", figure16Checkpoints)
+	v, err := memoDo("fig16", k, func(b []byte) []byte {
+		return fmt.Appendf(be.AppendFingerprint(b), "|checkpoints%v|", figure16Checkpoints)
 	}, func() (any, error) {
 		engine, machine, err := loopEngine(k, be, m.l, m.s.Pos)
 		if err != nil {

@@ -41,7 +41,7 @@ type loopMapping struct {
 // through mapErr.
 func mapLoop(k *kernels.Kernel, be *accel.Config, opts mapping.Options) (*loopMapping, error) {
 	key := core.Options{Backend: be, MapperOpts: opts}
-	v, err := memoDo("map", k, key.Fingerprint, func() (any, error) {
+	v, err := memoDo("map", k, key.AppendFingerprint, func() (any, error) {
 		body, err := regionFor(k)
 		if err != nil {
 			return nil, err

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -127,12 +126,12 @@ func Mappers() (*MappersResult, error) {
 // mappersRow memoizes one kernel's three-strategy comparison (CollectBench
 // and the rendered ablation share the simulations).
 func mappersRow(k *kernels.Kernel) (MappersRow, error) {
-	v, err := memoDo("mappers", k, func(w io.Writer) {
-		accel.M128().Fingerprint(w)
-		fmt.Fprintf(w, "|mappers|iters%d|", mapperMeasureIters)
+	v, err := memoDo("mappers", k, func(b []byte) []byte {
+		b = fmt.Appendf(accel.M128().AppendFingerprint(b), "|mappers|iters%d|", mapperMeasureIters)
 		for _, name := range mapperAblationOrder {
-			io.WriteString(w, name+"|")
+			b = append(append(b, name...), '|')
 		}
+		return b
 	}, func() (any, error) {
 		row, err := mappersRowUncached(k)
 		if err != nil {

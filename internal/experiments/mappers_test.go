@@ -95,7 +95,7 @@ func TestMappersDeterministic(t *testing.T) {
 // TestMapperStrategyMemoDifferential is the fingerprint acceptance test:
 // warm the simulation cache with greedy runs, then run the same kernel under
 // the congestion strategy — the cache must miss (the strategy name keys
-// core.Options.Fingerprint), not serve a stale greedy result.
+// core.Options.AppendFingerprint), not serve a stale greedy result.
 func TestMapperStrategyMemoDifferential(t *testing.T) {
 	ResetSimMemo()
 	defer ResetSimMemo()
@@ -145,7 +145,7 @@ func TestMapperStrategyMemoDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, after := counters(); after <= misses {
-		t.Errorf("congestion run hit the greedy cache entry (misses %v -> %v); Fingerprint does not key on the strategy",
+		t.Errorf("congestion run hit the greedy cache entry (misses %v -> %v); AppendFingerprint does not key on the strategy",
 			misses, after)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -241,10 +241,10 @@ func (c *memoCache) do(key string, f func() (any, error)) (any, error) {
 //	"dynaspam"      Figure 14's DynaSpAM mapping
 //	"mappers"       one kernel's row of the mapper-strategy ablation
 //
-// fill appends the configuration fingerprint to the key hash. If the cache
+// fill appends the configuration fingerprint to the key bytes. If the cache
 // is disabled or the kernel's program cannot be assembled, f runs uncached
 // (the latter so error wrapping stays exactly as before).
-func memoDo(kind string, k *kernels.Kernel, fill func(io.Writer), f func() (any, error)) (any, error) {
+func memoDo(kind string, k *kernels.Kernel, fill func([]byte) []byte, f func() (any, error)) (any, error) {
 	if !memoEnabled.Load() {
 		return f()
 	}
@@ -258,19 +258,24 @@ func memoDo(kind string, k *kernels.Kernel, fill func(io.Writer), f func() (any,
 // memoDoProgram is memoDo for programs that have no kernel identity, keyed
 // purely by their content hash plus the configuration fingerprint: mesad's
 // arbitrary RV32IMF words ("raw.*" kinds) and Ablation C2's synthetic
-// store-then-reload loop ("fwd"). Their words are hashed on every lookup;
+// store-then-reload loop ("fwd"). Their words are encoded on every lookup;
 // nothing is retained per program.
-func memoDoProgram(kind string, prog *isa.Program, fill func(io.Writer), f func() (any, error)) (any, error) {
+func memoDoProgram(kind string, prog *isa.Program, fill func([]byte) []byte, f func() (any, error)) (any, error) {
 	if !memoEnabled.Load() {
 		return f()
 	}
-	key := memoKeyFromFill(kind, func(h io.Writer) {
-		fmt.Fprintf(h, "base%d|", prog.Base)
-		hashProgram(h, prog)
-		fmt.Fprintf(h, "|seed%d|steps%d|", Seed, MaxSteps)
-		fill(h)
+	return simMemo.do(memoProgramKey(kind, prog, fill), f)
+}
+
+// memoProgramKey is memoKey for a program without kernel identity: kind,
+// program base and encoded words, the global simulation bounds, and the
+// configuration fingerprint.
+func memoProgramKey(kind string, prog *isa.Program, fill func([]byte) []byte) string {
+	return memoKeyFromFill(kind, func(b []byte) []byte {
+		b = strconv.AppendUint(append(b, "base"...), uint64(prog.Base), 10)
+		b = AppendProgramWords(append(b, '|'), prog)
+		return fill(appendBounds(b))
 	})
-	return simMemo.do(key, f)
 }
 
 // memoKey builds the content-hash key: entry-point kind, kernel identity
@@ -278,53 +283,65 @@ func memoDoProgram(kind string, prog *isa.Program, fill func(io.Writer), f func(
 // program bytes (base address plus encoded instruction words — layout and
 // addresses are fully determined by these), the global simulation bounds,
 // and the caller-supplied configuration fingerprint.
-func memoKey(kind string, k *kernels.Kernel, fill func(io.Writer)) (string, error) {
+func memoKey(kind string, k *kernels.Kernel, fill func([]byte) []byte) (string, error) {
 	prog, words, err := k.ProgramWords()
 	if err != nil {
 		return "", err
 	}
-	return memoKeyFromFill(kind, func(h io.Writer) {
-		fmt.Fprintf(h, "%s|%d|%t|base%d|", k.Name, k.N, k.Parallel, prog.Base)
+	return memoKeyFromFill(kind, func(b []byte) []byte {
+		b = append(append(b, k.Name...), '|')
+		b = strconv.AppendInt(b, int64(k.N), 10)
+		b = strconv.AppendBool(append(b, '|'), k.Parallel)
+		b = strconv.AppendUint(append(b, "|base"...), uint64(prog.Base), 10)
+		b = append(b, '|')
 		if words != nil {
-			h.Write(words) // the bytes hashProgram would write, encoded once per build
+			b = append(b, words...) // the bytes AppendProgramWords would write, encoded once per build
 		} else {
-			hashProgram(h, prog)
+			b = AppendProgramWords(b, prog)
 		}
-		fmt.Fprintf(h, "|seed%d|steps%d|", Seed, MaxSteps)
-		fill(h)
+		return fill(appendBounds(b))
 	}), nil
 }
 
-// memoKeyFromFill is the single construction point for memo keys: a sha256
-// content hash over the entry-point kind and a caller-written fingerprint.
-// memoKey and memoDoProgram both build their keys through it, so their
-// layouts can never drift apart; the unit test pins the byte layout so keys
-// stay stable across refactors.
-func memoKeyFromFill(kind string, fill func(io.Writer)) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|", kind)
-	fill(h)
-	return hex.EncodeToString(h.Sum(nil))
+// appendBounds appends the global simulation bounds every key carries.
+func appendBounds(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "|seed"...), Seed, 10)
+	b = strconv.AppendInt(append(b, "|steps"...), MaxSteps, 10)
+	return append(b, '|')
 }
 
-// HashProgramWords writes prog's encoded instruction words to h: the
-// program's content address, together with its base. Exported so mesad's
-// response-store keys agree with the memo layer's notion of program
-// identity.
-func HashProgramWords(h io.Writer, prog *isa.Program) { hashProgram(h, prog) }
+// keyBufs recycles the buffers keys are built in, so building a key
+// allocates nothing but the key string.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// hashProgram writes the encoded instruction words to h (the program's
-// content address, together with its base).
-func hashProgram(h io.Writer, prog *isa.Program) {
-	var word [4]byte
+// memoKeyFromFill is the single construction point for memo keys: a sha256
+// content hash over the entry-point kind and the bytes fill appends.
+// memoKey and memoProgramKey both build their keys through it, so their
+// layouts can never drift apart; the unit test pins the byte layout so keys
+// stay stable across refactors.
+func memoKeyFromFill(kind string, fill func([]byte) []byte) string {
+	buf := keyBufs.Get().(*[]byte)
+	*buf = fill(append(append((*buf)[:0], kind...), '|'))
+	sum := sha256.Sum256(*buf)
+	keyBufs.Put(buf)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
+}
+
+// AppendProgramWords appends prog's encoded instruction words to b,
+// little-endian: the program's content address, together with its base.
+// Exported so mesad's response-store keys agree with the memo layer's
+// notion of program identity.
+func AppendProgramWords(b []byte, prog *isa.Program) []byte {
 	for _, in := range prog.Insts {
 		enc, err := isa.Encode(in)
 		if err != nil {
-			// Unencodable pseudo-instruction: hash its full printed form.
-			fmt.Fprintf(h, "raw%+v|", in)
+			// Unencodable pseudo-instruction: its full printed form.
+			b = fmt.Appendf(b, "raw%+v|", in)
 			continue
 		}
-		binary.LittleEndian.PutUint32(word[:], enc)
-		h.Write(word[:])
+		b = binary.LittleEndian.AppendUint32(b, enc)
 	}
+	return b
 }

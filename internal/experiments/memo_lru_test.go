@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func memoMetric(t *testing.T, name string) float64 {
+func memoMetric(t testing.TB, name string) float64 {
 	t.Helper()
 	for _, m := range SimMemoMetrics() {
 		if m.Name == name {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"mesa/internal/accel"
+	"mesa/internal/core"
 	"mesa/internal/cpu"
 	"mesa/internal/isa"
 	"mesa/internal/kernels"
@@ -118,18 +119,95 @@ func TestSimMemoDifferential(t *testing.T) {
 	}
 }
 
+// warmSweepPrime primes the memo for BenchmarkWarmSweep once per test
+// process. The framework calls a benchmark once per b.N calibration round
+// and per -count; priming on every call would put cold sweeps (the engine,
+// the CPU model) into the profile of a sweep that runs neither.
+var warmSweepPrime sync.Once
+
 // BenchmarkWarmSweep times one serial evaluation sweep against a warm memo.
 // Every simulation and mapping is a memo hit, so what it measures is key
-// hashing, lookups, derivation and rendering.
+// hashing, lookups, derivation and rendering; a timed sweep that misses
+// the memo fails the benchmark.
 func BenchmarkWarmSweep(b *testing.B) {
 	defer SetWorkers(SetWorkers(1))
-	ResetSimMemo()
-	defer ResetSimMemo()
-	sweepOutputs(b)
+	warmSweepPrime.Do(func() {
+		ResetSimMemo()
+		sweepOutputs(b)
+	})
+	misses := memoMetric(b, "sim_cache_misses")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweepOutputs(b)
+	}
+	b.StopTimer()
+	if got := memoMetric(b, "sim_cache_misses"); got != misses {
+		b.Fatalf("timed warm sweeps recorded %v memo misses", got-misses)
+	}
+}
+
+// memoKeyFills are the fills of the hottest memo kinds, built as their
+// call sites build them, for one parallel kernel.
+func memoKeyFills(t testing.TB) (*kernels.Kernel, []struct {
+	kind string
+	fill func([]byte) []byte
+}) {
+	t.Helper()
+	k, err := kernels.ByName("nn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, loopStart, err := k.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := accel.M128()
+	cfg, mc := cpu.DefaultBOOM(), cpu.DefaultMulticore()
+	opts := mesaControllerOptions(k, loopStart, be, MESAOptions{})
+	key := core.Options{Backend: be, MapperOpts: mapping.DefaultOptions()}
+	return k, []struct {
+		kind string
+		fill func([]byte) []byte
+	}{
+		{"cpu1", cfg.AppendFingerprint},
+		{"cpuN", mc.AppendFingerprint},
+		{"mesa", opts.AppendFingerprint},
+		{"map", key.AppendFingerprint},
+	}
+}
+
+// BenchmarkMemoKey times building one memo key per hot kind.
+func BenchmarkMemoKey(b *testing.B) {
+	k, fills := memoKeyFills(b)
+	for _, f := range fills {
+		b.Run(f.kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := memoKey(f.kind, k, f.fill); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestMemoKeyAllocs pins the key's cost: the fill, the framing and the hash
+// share one pooled buffer, so a key allocates only its string.
+func TestMemoKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's sync.Pool drops buffers at random")
+	}
+	k, fills := memoKeyFills(t)
+	for _, f := range fills {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := memoKey(f.kind, k, f.fill); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("memoKey(%q) allocates %v times per call, want at most 1", f.kind, allocs)
+		}
 	}
 }
 
@@ -306,15 +384,15 @@ func TestSimMemoKeyedByConfig(t *testing.T) {
 // the literal hash below must only ever change deliberately, so a refactor
 // of the key builders cannot silently change what a key hashes.
 func TestMemoKeyFromFillStability(t *testing.T) {
-	got := memoKeyFromFill("kindA", func(h io.Writer) { io.WriteString(h, "payload") })
+	got := memoKeyFromFill("kindA", func(b []byte) []byte { return append(b, "payload"...) })
 	const want = "94fd61c46be242c6b82760b8af8d7a781f40995c72cbbeeb782e15f054a40901"
 	if got != want {
 		t.Errorf("memoKeyFromFill layout changed:\n got %s\nwant %s", got, want)
 	}
-	if again := memoKeyFromFill("kindA", func(h io.Writer) { io.WriteString(h, "payload") }); again != got {
+	if again := memoKeyFromFill("kindA", func(b []byte) []byte { return append(b, "payload"...) }); again != got {
 		t.Errorf("memoKeyFromFill not deterministic: %s vs %s", got, again)
 	}
-	if other := memoKeyFromFill("kindB", func(h io.Writer) { io.WriteString(h, "payload") }); other == got {
+	if other := memoKeyFromFill("kindB", func(b []byte) []byte { return append(b, "payload"...) }); other == got {
 		t.Error("distinct kinds produced the same key")
 	}
 }
@@ -333,7 +411,7 @@ func TestMemoKeyLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := memoKey("mesa", k, func(h io.Writer) { io.WriteString(h, "CFG") })
+	got, err := memoKey("mesa", k, func(b []byte) []byte { return append(b, "CFG"...) })
 	if err != nil {
 		t.Fatal(err)
 	}

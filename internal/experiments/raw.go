@@ -21,7 +21,7 @@ import (
 // TimeProgramSingleCore times an arbitrary program on one out-of-order core.
 // The result is memoized: treat it as read-only.
 func TimeProgramSingleCore(prog *isa.Program, cfg cpu.Config) (*cpu.Result, error) {
-	v, err := memoDoProgram("raw.cpu1", prog, cfg.Fingerprint, func() (any, error) {
+	v, err := memoDoProgram("raw.cpu1", prog, cfg.AppendFingerprint, func() (any, error) {
 		hier := mem.MustHierarchy(mem.DefaultHierarchy())
 		res, err := cpu.Time(cfg, prog, mem.NewMemory(), hier, MaxSteps)
 		if err != nil {
@@ -47,7 +47,7 @@ func RunProgramMESA(prog *isa.Program, be *accel.Config, strat mapping.Strategy)
 	} else {
 		opts.Mapper = MapperStrategy()
 	}
-	v, err := memoDoProgram("raw.mesa", prog, opts.Fingerprint, func() (any, error) {
+	v, err := memoDoProgram("raw.mesa", prog, opts.AppendFingerprint, func() (any, error) {
 		ctl := core.NewController(opts)
 		report, _, err := ctl.Run(prog, mem.NewMemory(), mem.MustHierarchy(mem.DefaultHierarchy()), MaxSteps)
 		if err != nil {

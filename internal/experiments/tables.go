@@ -234,7 +234,7 @@ func Figure8() (*Figure8Result, error) {
 	cost := core.EstimateConfigCost(l, stats, 1)
 	// The FSM replay maps the loop again, cycle by cycle: memoized too.
 	key := core.Options{Backend: be, MapperOpts: opts}
-	v, err := memoDo("imapfsm", k, key.Fingerprint, func() (any, error) {
+	v, err := memoDo("imapfsm", k, key.AppendFingerprint, func() (any, error) {
 		tr, _, err := mapping.SimulateImapFSM(l, be, opts)
 		return tr, err
 	})

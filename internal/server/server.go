@@ -38,6 +38,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -598,17 +599,22 @@ func (s *Server) normalize(req *Request) (*normalized, *Error) {
 // store: schema version, workload identity, and the full resolved
 // configuration.
 func (n *normalized) fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "mesad|v%d|seed%d|steps%d|", SchemaVersion, experiments.Seed, experiments.MaxSteps)
+	b := strconv.AppendInt(append(make([]byte, 0, 512), "mesad|v"...), SchemaVersion, 10)
+	b = strconv.AppendInt(append(b, "|seed"...), experiments.Seed, 10)
+	b = strconv.AppendInt(append(b, "|steps"...), experiments.MaxSteps, 10)
 	if n.kernel != nil {
-		fmt.Fprintf(h, "kernel|%s|%d|%t|", n.kernel.Name, n.kernel.N, n.kernel.Parallel)
+		b = append(append(b, "|kernel|"...), n.kernel.Name...)
+		b = strconv.AppendInt(append(b, '|'), int64(n.kernel.N), 10)
+		b = append(strconv.AppendBool(append(b, '|'), n.kernel.Parallel), '|')
 	} else {
-		fmt.Fprintf(h, "raw|base%d|", n.prog.Base)
-		experiments.HashProgramWords(h, n.prog)
+		b = strconv.AppendUint(append(b, "|raw|base"...), uint64(n.prog.Base), 10)
+		b = experiments.AppendProgramWords(append(b, '|'), n.prog)
 	}
-	fmt.Fprintf(h, "|map%s|cores%d|", n.mapper.Name(), n.cores)
-	n.backend.Fingerprint(h)
-	return hex.EncodeToString(h.Sum(nil))
+	b = append(append(b, "|map"...), n.mapper.Name()...)
+	b = strconv.AppendInt(append(b, "|cores"...), int64(n.cores), 10)
+	b = n.backend.AppendFingerprint(append(b, '|'))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Simulate is the direct library call the HTTP handler wraps: it validates
