@@ -744,7 +744,7 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 
 		default:
 			a, b := opVal[0], opVal[1]
-			if n.Inst.Op.HasImm() || n.Inst.Op == isa.OpLUI {
+			if n.Inst.Op.HasImm() {
 				b = uint32(n.Inst.Imm)
 			}
 			v, err := alu.Eval(n.Inst.Op, a, b, opVal[2])

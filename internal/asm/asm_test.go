@@ -167,6 +167,10 @@ func TestAssembleErrors(t *testing.T) {
 		"addi x1, x2, 999999999999",
 		"beq x1, x2",
 		"add x1, x2, q9",
+		"add f1, f2, f3",    // x-register op with f registers
+		"fadd.s x1, x2, x3", // and the other way round
+		"flw x1, 0(x2)",
+		"jal x1, 3", // odd jump offset
 	}
 	for _, src := range bad {
 		if _, err := Assemble(0, src); err == nil {

@@ -16,12 +16,15 @@ import (
 //	addi t0, t0, -4
 //	lw   a0, 8(sp)
 //	sw   a1, 0(a2)
-//	beq  t0, zero, done
-//	jal  ra, func        |  j loop
+//	beq  t0, zero, done  |  beq t0, zero, -8
+//	jal  ra, func        |  jal ra, 64  |  j loop
 //	fmadd.s f0, f1, f2, f3
 //	li   t0, 123456      (pseudo, expands to lui+addi as needed)
 //	mv   t0, t1          (pseudo)
 //	nop / ecall / ebreak / fence / ret
+//
+// Each op's operands follow its format (isa.Op.Operands), the syntax
+// Inst.String prints; a branch or jump target is a label or a byte offset.
 func Assemble(base uint32, src string) (*isa.Program, error) {
 	b := NewBuilder(base)
 	for lineNo, raw := range strings.Split(src, "\n") {
@@ -207,169 +210,56 @@ func assembleLine(b *Builder, line string) error {
 	case "ret":
 		b.RET()
 		return b.Err()
-	case "nop":
-		b.NOP()
-		return b.Err()
 	}
 
 	op, ok := mnemonicOps[mnem]
 	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mnem)
 	}
-
-	switch {
-	case op == isa.OpECALL || op == isa.OpEBREAK || op == isa.OpFENCE:
-		b.Emit(isa.Inst{Op: op, Rd: isa.RegNone, Rs1: isa.RegNone, Rs2: isa.RegNone, Rs3: isa.RegNone})
-
-	case op == isa.OpLUI || op == isa.OpAUIPC:
-		if len(args) != 2 {
-			return fmt.Errorf("%s needs 2 operands", mnem)
+	operands := op.Operands()
+	// An op without operands ignores any given (fence's ordering sets).
+	if len(operands) > 0 && len(args) != len(operands) {
+		names := make([]string, len(operands))
+		for i, o := range operands {
+			names[i] = o.String()
 		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		imm, err := parseImm(args[1])
-		if err != nil {
-			return err
-		}
-		b.Emit(isa.Inst{Op: op, Rd: rd, Rs1: isa.RegNone, Rs2: isa.RegNone, Rs3: isa.RegNone, Imm: imm << 12})
-
-	case op == isa.OpJAL:
-		if len(args) != 2 {
-			return fmt.Errorf("jal needs rd, label")
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		b.JAL(rd, args[1])
-
-	case op == isa.OpJALR:
-		if len(args) != 2 {
-			return fmt.Errorf("jalr needs rd, imm(rs1)")
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		imm, rs1, err := parseMem(args[1])
-		if err != nil {
-			return err
-		}
-		b.JALR(rd, rs1, imm)
-
-	case op.Class() == isa.ClassLoad:
-		if len(args) != 2 {
-			return fmt.Errorf("%s needs rd, imm(rs1)", mnem)
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		imm, rs1, err := parseMem(args[1])
-		if err != nil {
-			return err
-		}
-		b.ri(op, rd, rs1, imm)
-
-	case op.Class() == isa.ClassStore:
-		if len(args) != 2 {
-			return fmt.Errorf("%s needs rs2, imm(rs1)", mnem)
-		}
-		rs2, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		imm, rs1, err := parseMem(args[1])
-		if err != nil {
-			return err
-		}
-		b.store(op, rs2, imm, rs1)
-
-	case op.Class() == isa.ClassBranch:
-		if len(args) != 3 {
-			return fmt.Errorf("%s needs rs1, rs2, target", mnem)
-		}
-		rs1, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs2, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		if imm, err := parseImm(args[2]); err == nil {
-			b.Emit(isa.Inst{Op: op, Rd: isa.RegNone, Rs1: rs1, Rs2: rs2, Rs3: isa.RegNone, Imm: imm})
-		} else {
-			b.branch(op, rs1, rs2, args[2])
-		}
-
-	case op == isa.OpFMADDS || op == isa.OpFMSUBS || op == isa.OpFNMADDS || op == isa.OpFNMSUBS:
-		if len(args) != 4 {
-			return fmt.Errorf("%s needs 4 operands", mnem)
-		}
-		regs := make([]isa.Reg, 4)
-		for i, a := range args {
-			r, err := parseReg(a)
-			if err != nil {
-				return err
+		return fmt.Errorf("%s needs %s", mnem, strings.Join(names, ", "))
+	}
+	in := isa.Inst{Op: op, Rd: isa.RegNone, Rs1: isa.RegNone, Rs2: isa.RegNone, Rs3: isa.RegNone}
+	label := ""
+	for i, o := range operands {
+		var err error
+		switch o {
+		case isa.OperandRd:
+			in.Rd, err = parseReg(args[i])
+		case isa.OperandRs1:
+			in.Rs1, err = parseReg(args[i])
+		case isa.OperandRs2:
+			in.Rs2, err = parseReg(args[i])
+		case isa.OperandRs3:
+			in.Rs3, err = parseReg(args[i])
+		case isa.OperandImm:
+			in.Imm, err = parseImm(args[i])
+		case isa.OperandUpper:
+			in.Imm, err = parseImm(args[i])
+			in.Imm <<= 12
+		case isa.OperandMem:
+			in.Imm, in.Rs1, err = parseMem(args[i])
+		case isa.OperandTarget:
+			if imm, immErr := parseImm(args[i]); immErr == nil {
+				in.Imm = imm
+			} else {
+				label = args[i]
 			}
-			regs[i] = r
 		}
-		b.fma(op, regs[0], regs[1], regs[2], regs[3])
-
-	case op == isa.OpFSQRTS || op == isa.OpFCVTWS || op == isa.OpFCVTWUS ||
-		op == isa.OpFCVTSW || op == isa.OpFCVTSWU || op == isa.OpFMVXW ||
-		op == isa.OpFMVWX || op == isa.OpFCLASSS:
-		if len(args) != 2 {
-			return fmt.Errorf("%s needs 2 operands", mnem)
-		}
-		rd, err := parseReg(args[0])
 		if err != nil {
 			return err
 		}
-		rs1, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		b.r3(op, rd, rs1, isa.RegNone)
-
-	case op.HasImm():
-		if len(args) != 3 {
-			return fmt.Errorf("%s needs 3 operands", mnem)
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs1, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		imm, err := parseImm(args[2])
-		if err != nil {
-			return err
-		}
-		b.ri(op, rd, rs1, imm)
-
-	default:
-		if len(args) != 3 {
-			return fmt.Errorf("%s needs 3 operands", mnem)
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs1, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		rs2, err := parseReg(args[2])
-		if err != nil {
-			return err
-		}
-		b.r3(op, rd, rs1, rs2)
+	}
+	if label != "" {
+		b.emitTo(in, label)
+	} else {
+		b.Emit(in)
 	}
 	return b.Err()
 }

@@ -102,9 +102,14 @@ func (b *Builder) ri(op isa.Op, rd, rs1 isa.Reg, imm int32) *Builder {
 	return b.Emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: isa.RegNone, Rs3: isa.RegNone, Imm: imm})
 }
 
-func (b *Builder) branch(op isa.Op, rs1, rs2 isa.Reg, label string) *Builder {
+// emitTo appends in, whose Imm Program sets to label's PC-relative offset.
+func (b *Builder) emitTo(in isa.Inst, label string) *Builder {
 	b.fixups = append(b.fixups, fixup{index: len(b.insts), label: label})
-	return b.Emit(isa.Inst{Op: op, Rd: isa.RegNone, Rs1: rs1, Rs2: rs2, Rs3: isa.RegNone})
+	return b.Emit(in)
+}
+
+func (b *Builder) branch(op isa.Op, rs1, rs2 isa.Reg, label string) *Builder {
+	return b.emitTo(isa.Inst{Op: op, Rd: isa.RegNone, Rs1: rs1, Rs2: rs2, Rs3: isa.RegNone}, label)
 }
 
 // Integer register-register operations.
@@ -231,8 +236,7 @@ func (b *Builder) BGEU(rs1, rs2 isa.Reg, label string) *Builder {
 
 // JAL jumps to a label, writing the return address to rd.
 func (b *Builder) JAL(rd isa.Reg, label string) *Builder {
-	b.fixups = append(b.fixups, fixup{index: len(b.insts), label: label})
-	return b.Emit(isa.Inst{Op: isa.OpJAL, Rd: rd, Rs1: isa.RegNone, Rs2: isa.RegNone, Rs3: isa.RegNone})
+	return b.emitTo(isa.Inst{Op: isa.OpJAL, Rd: rd, Rs1: isa.RegNone, Rs2: isa.RegNone, Rs3: isa.RegNone}, label)
 }
 
 // J is an unconditional jump to a label (JAL x0).

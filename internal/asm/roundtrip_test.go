@@ -8,67 +8,18 @@ import (
 	"mesa/internal/isa"
 )
 
-// TestDisassemblyReassembles: the String() rendering of (almost) every
-// instruction is valid assembler input that parses back to an instruction
-// with the identical binary encoding — the printer and the parser agree on
-// the syntax. JAL is excluded (the builder emits it only via labels) and so
-// are CSR ops (String prints the CSR number as part of the operands in a
-// form the parser does not accept).
+// TestDisassemblyReassembles: the String() rendering of every op, with
+// random operands, is valid assembler input that parses back to an
+// instruction with the identical binary encoding — the printer and the
+// parser read the same operand list (isa.Op.Operands).
 func TestDisassemblyReassembles(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	xr := func() isa.Reg { return isa.IntReg(1 + rng.Intn(31)) }
-	fr := func() isa.Reg { return isa.FPReg(rng.Intn(32)) }
-	imm12 := func() int32 { return int32(rng.Intn(4096) - 2048) }
-
 	var insts []isa.Inst
-	none := isa.RegNone
-	for i := 0; i < 300; i++ {
-		switch rng.Intn(8) {
-		case 0:
-			ops := []isa.Op{isa.OpADD, isa.OpSUB, isa.OpXOR, isa.OpOR, isa.OpAND,
-				isa.OpSLL, isa.OpSRL, isa.OpSRA, isa.OpSLT, isa.OpSLTU,
-				isa.OpMUL, isa.OpMULH, isa.OpMULHU, isa.OpMULHSU,
-				isa.OpDIV, isa.OpDIVU, isa.OpREM, isa.OpREMU}
-			insts = append(insts, isa.Inst{Op: ops[rng.Intn(len(ops))], Rd: xr(), Rs1: xr(), Rs2: xr(), Rs3: none})
-		case 1:
-			ops := []isa.Op{isa.OpADDI, isa.OpSLTI, isa.OpSLTIU, isa.OpXORI, isa.OpORI, isa.OpANDI}
-			insts = append(insts, isa.Inst{Op: ops[rng.Intn(len(ops))], Rd: xr(), Rs1: xr(), Rs2: none, Rs3: none, Imm: imm12()})
-		case 2:
-			ops := []isa.Op{isa.OpSLLI, isa.OpSRLI, isa.OpSRAI}
-			insts = append(insts, isa.Inst{Op: ops[rng.Intn(len(ops))], Rd: xr(), Rs1: xr(), Rs2: none, Rs3: none, Imm: int32(rng.Intn(32))})
-		case 3:
-			ops := []isa.Op{isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLBU, isa.OpLHU}
-			insts = append(insts, isa.Inst{Op: ops[rng.Intn(len(ops))], Rd: xr(), Rs1: xr(), Rs2: none, Rs3: none, Imm: imm12()})
-		case 4:
-			ops := []isa.Op{isa.OpSB, isa.OpSH, isa.OpSW}
-			insts = append(insts, isa.Inst{Op: ops[rng.Intn(len(ops))], Rd: none, Rs1: xr(), Rs2: xr(), Rs3: none, Imm: imm12()})
-		case 5:
-			ops := []isa.Op{isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU}
-			insts = append(insts, isa.Inst{Op: ops[rng.Intn(len(ops))], Rd: none, Rs1: xr(), Rs2: xr(), Rs3: none, Imm: int32(rng.Intn(1024)-512) * 2})
-		case 6:
-			ops := []isa.Op{isa.OpFADDS, isa.OpFSUBS, isa.OpFMULS, isa.OpFDIVS,
-				isa.OpFMINS, isa.OpFMAXS, isa.OpFSGNJS, isa.OpFSGNJNS, isa.OpFSGNJXS}
-			insts = append(insts, isa.Inst{Op: ops[rng.Intn(len(ops))], Rd: fr(), Rs1: fr(), Rs2: fr(), Rs3: none})
-		case 7:
-			ops := []isa.Op{isa.OpFMADDS, isa.OpFMSUBS, isa.OpFNMADDS, isa.OpFNMSUBS}
-			insts = append(insts, isa.Inst{Op: ops[rng.Intn(len(ops))], Rd: fr(), Rs1: fr(), Rs2: fr(), Rs3: fr()})
+	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
+		for range 8 {
+			insts = append(insts, randomInst(t, rng, op))
 		}
 	}
-	insts = append(insts,
-		isa.Inst{Op: isa.OpFLW, Rd: fr(), Rs1: xr(), Rs2: none, Rs3: none, Imm: 4},
-		isa.Inst{Op: isa.OpFSW, Rd: none, Rs1: xr(), Rs2: fr(), Rs3: none, Imm: -4},
-		isa.Inst{Op: isa.OpFSQRTS, Rd: fr(), Rs1: fr(), Rs2: none, Rs3: none},
-		isa.Inst{Op: isa.OpFCVTWS, Rd: xr(), Rs1: fr(), Rs2: none, Rs3: none},
-		isa.Inst{Op: isa.OpFCVTSW, Rd: fr(), Rs1: xr(), Rs2: none, Rs3: none},
-		isa.Inst{Op: isa.OpFMVXW, Rd: xr(), Rs1: fr(), Rs2: none, Rs3: none},
-		isa.Inst{Op: isa.OpFMVWX, Rd: fr(), Rs1: xr(), Rs2: none, Rs3: none},
-		isa.Inst{Op: isa.OpFEQS, Rd: xr(), Rs1: fr(), Rs2: fr(), Rs3: none},
-		isa.Inst{Op: isa.OpJALR, Rd: xr(), Rs1: xr(), Rs2: none, Rs3: none, Imm: 16},
-		isa.Nop(),
-		isa.Inst{Op: isa.OpECALL, Rd: none, Rs1: none, Rs2: none, Rs3: none},
-		isa.Inst{Op: isa.OpEBREAK, Rd: none, Rs1: none, Rs2: none, Rs3: none},
-		isa.Inst{Op: isa.OpFENCE, Rd: none, Rs1: none, Rs2: none, Rs3: none},
-	)
 
 	var src strings.Builder
 	for _, in := range insts {
@@ -90,4 +41,97 @@ func TestDisassemblyReassembles(t *testing.T) {
 			t.Errorf("inst %d: %q reassembled to %q (%#x vs %#x)", i, want, got, w1, w2)
 		}
 	}
+}
+
+// randomInst returns op with random operands: immediates inside their
+// field, and registers from the one choice of files Encode accepts.
+func randomInst(t *testing.T, rng *rand.Rand, op isa.Op) isa.Inst {
+	none := isa.RegNone
+	in := isa.Inst{Op: op, Rd: none, Rs1: none, Rs2: none, Rs3: none}
+	var regs []*isa.Reg
+	for _, o := range op.Operands() {
+		switch o {
+		case isa.OperandRd:
+			regs = append(regs, &in.Rd)
+		case isa.OperandRs1, isa.OperandMem:
+			regs = append(regs, &in.Rs1)
+		case isa.OperandRs2:
+			regs = append(regs, &in.Rs2)
+		case isa.OperandRs3:
+			regs = append(regs, &in.Rs3)
+		}
+		switch o {
+		case isa.OperandImm, isa.OperandMem:
+			in.Imm = int32(rng.Intn(4096) - 2048)
+		case isa.OperandUpper:
+			in.Imm = int32(rng.Intn(1<<20)) << 12
+		case isa.OperandTarget:
+			in.Imm = int32(rng.Intn(4096)-2048) * 2
+		}
+	}
+	nums := make([]int, len(regs))
+	for i := range nums {
+		nums[i] = rng.Intn(32)
+	}
+	for files := 0; files < 1<<len(regs); files++ {
+		for i, r := range regs {
+			if files>>i&1 == 1 {
+				*r = isa.FPReg(nums[i])
+			} else {
+				*r = isa.IntReg(nums[i])
+			}
+		}
+		if _, err := isa.Encode(in); err == nil {
+			return in
+		}
+	}
+	t.Fatalf("%v: no choice of register files encodes", op)
+	return in
+}
+
+// FuzzDisassemblyReassembles: every decodable word prints as assembler
+// input that assembles to the word's canonical encoding,
+// Encode(Decode(word)).
+//
+// Run open-ended with:
+//
+//	go test ./internal/asm -run '^$' -fuzz '^FuzzDisassemblyReassembles$'
+func FuzzDisassemblyReassembles(f *testing.F) {
+	for _, w := range []uint32{
+		0x00000013, // addi x0, x0, 0
+		0x00100073, // ebreak
+		0x30200073, // mret, which decodes as ecall
+		0x0FF0000F, // fence iorw, iorw
+		0x800000EF, // jal x1, -1048576
+		0xFE000EE3, // beq x0, x0, -4
+		0x30029373, // csrrw x6, x5, 768 (mstatus)
+		0xFFFFF2B7, // lui x5, 0xfffff
+		0x1820F043, // fmadd.s f0, f1, f2, f3 (dynamic rounding)
+		0xC0108553, // fcvt.wu.s x10, f1
+		0xE0008553, // fmv.x.w x10, f1
+		0xFFFFFFFF, // undecodable
+	} {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, word uint32) {
+		in, err := isa.Decode(word)
+		if err != nil {
+			return
+		}
+		want, err := isa.Encode(in)
+		if err != nil {
+			t.Fatalf("Decode(%#08x) = %v does not encode: %v", word, in, err)
+		}
+		prog, err := Assemble(0, in.String())
+		if err != nil {
+			t.Fatalf("Decode(%#08x) prints %q, which does not assemble: %v", word, in, err)
+		}
+		if len(prog.Insts) != 1 {
+			t.Fatalf("%q assembled to %d instructions", in, len(prog.Insts))
+		}
+		got, err := isa.Encode(prog.Insts[0])
+		if err != nil || got != want {
+			t.Fatalf("%q (from %#08x) reassembles to %#08x, %v; want %#08x", in, word, got, err, want)
+		}
+	})
 }

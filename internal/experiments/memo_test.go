@@ -298,6 +298,23 @@ func TestMemoKeySeparation(t *testing.T) {
 	step("map time-share", func() error { _, err := mapLoop(k, accel.M128(), opts); return err }, 1)
 }
 
+// TestProgramWordsTellRegisterFilesApart: two programs that differ only in
+// the register file of an operand have different identities in the memo
+// and in mesad's response store. Encode rejects the operand that is in the
+// wrong file, so the program is identified by its printed form instead.
+func TestProgramWordsTellRegisterFilesApart(t *testing.T) {
+	prog := func(rd, rs1, rs2 isa.Reg) *isa.Program {
+		return &isa.Program{Base: kernels.CodeBase, Insts: []isa.Inst{
+			{Op: isa.OpADD, Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: isa.RegNone, Addr: kernels.CodeBase},
+		}}
+	}
+	x := AppendProgramWords(nil, prog(isa.X1, isa.X2, isa.X3))
+	f := AppendProgramWords(nil, prog(isa.F1, isa.F2, isa.F3))
+	if bytes.Equal(x, f) {
+		t.Fatalf("add x1, x2, x3 and add f1, f2, f3 share the program identity %q", x)
+	}
+}
+
 // TestSimMemoSingleFlight pins the concurrency contract: N concurrent
 // requests for one uncached configuration run the simulation once and share
 // the identical result pointer, and the hit/miss counters come out

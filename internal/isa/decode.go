@@ -1,232 +1,82 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
-// Decode converts a 32-bit RISC-V machine word into an Inst. It supports the
-// RV32IMF subset defined by this package and returns an error for anything
-// else.
-func Decode(word uint32) (Inst, error) {
-	opc := word & 0x7F
-	rd := Reg(word >> 7 & 31)
-	f3 := word >> 12 & 7
-	rs1 := Reg(word >> 15 & 31)
-	rs2 := Reg(word >> 20 & 31)
-	f7 := word >> 25 & 0x7F
-
-	immI := int32(word) >> 20
-	immS := int32(word)>>25<<5 | int32(word>>7&31)
-	immB := int32(word)>>31<<12 | int32(word>>7&1)<<11 |
-		int32(word>>25&0x3F)<<5 | int32(word>>8&0xF)<<1
-	immU := int32(word & 0xFFFFF000)
-	immJ := int32(word)>>31<<20 | int32(word>>12&0xFF)<<12 |
-		int32(word>>20&1)<<11 | int32(word>>21&0x3FF)<<1
-
-	none := RegNone
-	switch opc {
-	case opcLUI:
-		return Inst{Op: OpLUI, Rd: rd, Rs1: none, Rs2: none, Rs3: none, Imm: immU}, nil
-	case opcAUIPC:
-		return Inst{Op: OpAUIPC, Rd: rd, Rs1: none, Rs2: none, Rs3: none, Imm: immU}, nil
-	case opcJAL:
-		return Inst{Op: OpJAL, Rd: rd, Rs1: none, Rs2: none, Rs3: none, Imm: immJ}, nil
-	case opcJALR:
-		if f3 != 0 {
-			return Inst{}, fmt.Errorf("isa: bad jalr funct3 %d", f3)
+// decodeOrder lists, per major opcode, the ops Decode tries in turn: the
+// most specific mask first, ties in Op order. A row that fixes a field
+// another row of its opcode leaves free is thereby tried first, and the
+// looser row takes every other value of the field: srli any funct7 but
+// srai's, fcvt.w.s and fcvt.s.w any rs2 but their unsigned forms', fmv.x.w
+// any funct3 but fclass.s's, ecall any immediate but ebreak's.
+var decodeOrder = func() (order [128][]Op) {
+	for op := OpInvalid + 1; op < numOps; op++ {
+		if r := &opTable[op]; r.mask != 0 {
+			order[r.match&0x7F] = append(order[r.match&0x7F], op)
 		}
-		return Inst{Op: OpJALR, Rd: rd, Rs1: rs1, Rs2: none, Rs3: none, Imm: immI}, nil
-
-	case opcBRANCH:
-		for op, bf3 := range bEnc {
-			if bf3 == f3 {
-				return Inst{Op: op, Rd: none, Rs1: rs1, Rs2: rs2, Rs3: none, Imm: immB}, nil
-			}
-		}
-		return Inst{}, fmt.Errorf("isa: bad branch funct3 %d", f3)
-
-	case opcLOAD:
-		var op Op
-		switch f3 {
-		case 0:
-			op = OpLB
-		case 1:
-			op = OpLH
-		case 2:
-			op = OpLW
-		case 4:
-			op = OpLBU
-		case 5:
-			op = OpLHU
-		default:
-			return Inst{}, fmt.Errorf("isa: bad load funct3 %d", f3)
-		}
-		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: none, Rs3: none, Imm: immI}, nil
-
-	case opcLOADFP:
-		if f3 != 2 {
-			return Inst{}, fmt.Errorf("isa: bad fp-load funct3 %d", f3)
-		}
-		return Inst{Op: OpFLW, Rd: rd + 32, Rs1: rs1, Rs2: none, Rs3: none, Imm: immI}, nil
-
-	case opcSTORE:
-		var op Op
-		switch f3 {
-		case 0:
-			op = OpSB
-		case 1:
-			op = OpSH
-		case 2:
-			op = OpSW
-		default:
-			return Inst{}, fmt.Errorf("isa: bad store funct3 %d", f3)
-		}
-		return Inst{Op: op, Rd: none, Rs1: rs1, Rs2: rs2, Rs3: none, Imm: immS}, nil
-
-	case opcSTOREFP:
-		if f3 != 2 {
-			return Inst{}, fmt.Errorf("isa: bad fp-store funct3 %d", f3)
-		}
-		return Inst{Op: OpFSW, Rd: none, Rs1: rs1, Rs2: rs2 + 32, Rs3: none, Imm: immS}, nil
-
-	case opcOPIMM:
-		var op Op
-		imm := immI
-		switch f3 {
-		case 0:
-			op = OpADDI
-		case 1:
-			op, imm = OpSLLI, int32(word>>20&31)
-		case 2:
-			op = OpSLTI
-		case 3:
-			op = OpSLTIU
-		case 4:
-			op = OpXORI
-		case 5:
-			if f7 == 0x20 {
-				op = OpSRAI
-			} else {
-				op = OpSRLI
-			}
-			imm = int32(word >> 20 & 31)
-		case 6:
-			op = OpORI
-		case 7:
-			op = OpANDI
-		}
-		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: none, Rs3: none, Imm: imm}, nil
-
-	case opcOP:
-		for op, spec := range rEnc {
-			if spec.funct3 == f3 && spec.funct7 == f7 {
-				return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: none}, nil
-			}
-		}
-		return Inst{}, fmt.Errorf("isa: bad OP funct3=%d funct7=%#x", f3, f7)
-
-	case opcOPFP:
-		return decodeFP(word, rd, f3, rs1, rs2, f7)
-
-	case opcMADD, opcMSUB, opcNMSUB, opcNMADD:
-		var op Op
-		switch opc {
-		case opcMADD:
-			op = OpFMADDS
-		case opcMSUB:
-			op = OpFMSUBS
-		case opcNMSUB:
-			op = OpFNMSUBS
-		case opcNMADD:
-			op = OpFNMADDS
-		}
-		if word>>25&3 != 0 {
-			return Inst{}, fmt.Errorf("isa: only single-precision FMA supported")
-		}
-		rs3 := Reg(word >> 27 & 31)
-		return Inst{Op: op, Rd: rd + 32, Rs1: rs1 + 32, Rs2: rs2 + 32, Rs3: rs3 + 32}, nil
-
-	case opcMISCMEM:
-		return Inst{Op: OpFENCE, Rd: none, Rs1: none, Rs2: none, Rs3: none}, nil
-
-	case opcSYSTEM:
-		switch f3 {
-		case 0:
-			if word>>20&0xFFF == 1 {
-				return Inst{Op: OpEBREAK, Rd: none, Rs1: none, Rs2: none, Rs3: none}, nil
-			}
-			return Inst{Op: OpECALL, Rd: none, Rs1: none, Rs2: none, Rs3: none}, nil
-		case 1:
-			return Inst{Op: OpCSRRW, Rd: rd, Rs1: rs1, Rs2: none, Rs3: none, Imm: int32(word >> 20)}, nil
-		case 2:
-			return Inst{Op: OpCSRRS, Rd: rd, Rs1: rs1, Rs2: none, Rs3: none, Imm: int32(word >> 20)}, nil
-		case 3:
-			return Inst{Op: OpCSRRC, Rd: rd, Rs1: rs1, Rs2: none, Rs3: none, Imm: int32(word >> 20)}, nil
-		}
-		return Inst{}, fmt.Errorf("isa: bad system funct3 %d", f3)
 	}
-	return Inst{}, fmt.Errorf("isa: unknown opcode %#x", opc)
+	for _, ops := range order {
+		slices.SortStableFunc(ops, func(a, b Op) int {
+			return bits.OnesCount32(opTable[b].mask) - bits.OnesCount32(opTable[a].mask)
+		})
+	}
+	return order
+}()
+
+// Decode converts a 32-bit RISC-V machine word into an Inst: the first op
+// of the word's major opcode whose mask and match select it. It supports
+// the RV32IMF subset defined by this package and returns an error for
+// anything else.
+func Decode(word uint32) (Inst, error) {
+	ops := decodeOrder[word&0x7F]
+	for _, op := range ops {
+		r := &opTable[op]
+		if word&r.mask != r.match {
+			continue
+		}
+		var regs [4]Reg
+		for i := range regs {
+			switch r.regs[i] {
+			case 'x':
+				regs[i] = Reg(word >> fieldShift[i] & 31)
+			case 'f':
+				regs[i] = Reg(word>>fieldShift[i]&31) + 32
+			default:
+				regs[i] = RegNone
+			}
+		}
+		return Inst{Op: op, Rd: regs[0], Rs1: regs[1], Rs2: regs[2], Rs3: regs[3],
+			Imm: decodeImm(r.format, word)}, nil
+	}
+	if len(ops) == 0 {
+		return Inst{}, fmt.Errorf("isa: unknown opcode %#x", word&0x7F)
+	}
+	return Inst{}, fmt.Errorf("isa: no RV32IMF instruction of opcode %#x encodes as %#08x", word&0x7F, word)
 }
 
-func decodeFP(word uint32, rd Reg, f3 uint32, rs1, rs2 Reg, f7 uint32) (Inst, error) {
-	none := RegNone
-	frd, frs1, frs2 := rd+32, rs1+32, rs2+32
-	switch f7 {
-	case 0x00:
-		return Inst{Op: OpFADDS, Rd: frd, Rs1: frs1, Rs2: frs2, Rs3: none}, nil
-	case 0x04:
-		return Inst{Op: OpFSUBS, Rd: frd, Rs1: frs1, Rs2: frs2, Rs3: none}, nil
-	case 0x08:
-		return Inst{Op: OpFMULS, Rd: frd, Rs1: frs1, Rs2: frs2, Rs3: none}, nil
-	case 0x0C:
-		return Inst{Op: OpFDIVS, Rd: frd, Rs1: frs1, Rs2: frs2, Rs3: none}, nil
-	case 0x2C:
-		return Inst{Op: OpFSQRTS, Rd: frd, Rs1: frs1, Rs2: none, Rs3: none}, nil
-	case 0x10:
-		ops := [3]Op{OpFSGNJS, OpFSGNJNS, OpFSGNJXS}
-		if f3 > 2 {
-			return Inst{}, fmt.Errorf("isa: bad fsgnj funct3 %d", f3)
-		}
-		return Inst{Op: ops[f3], Rd: frd, Rs1: frs1, Rs2: frs2, Rs3: none}, nil
-	case 0x14:
-		if f3 > 1 {
-			return Inst{}, fmt.Errorf("isa: bad fmin/fmax funct3 %d", f3)
-		}
-		op := OpFMINS
-		if f3 == 1 {
-			op = OpFMAXS
-		}
-		return Inst{Op: op, Rd: frd, Rs1: frs1, Rs2: frs2, Rs3: none}, nil
-	case 0x60:
-		op := OpFCVTWS
-		if rs2.Num() == 1 {
-			op = OpFCVTWUS
-		}
-		return Inst{Op: op, Rd: rd, Rs1: frs1, Rs2: none, Rs3: none}, nil
-	case 0x68:
-		op := OpFCVTSW
-		if rs2.Num() == 1 {
-			op = OpFCVTSWU
-		}
-		return Inst{Op: op, Rd: frd, Rs1: rs1, Rs2: none, Rs3: none}, nil
-	case 0x70:
-		if f3 == 1 {
-			return Inst{Op: OpFCLASSS, Rd: rd, Rs1: frs1, Rs2: none, Rs3: none}, nil
-		}
-		return Inst{Op: OpFMVXW, Rd: rd, Rs1: frs1, Rs2: none, Rs3: none}, nil
-	case 0x78:
-		return Inst{Op: OpFMVWX, Rd: frd, Rs1: rs1, Rs2: none, Rs3: none}, nil
-	case 0x50:
-		var op Op
-		switch f3 {
-		case 2:
-			op = OpFEQS
-		case 1:
-			op = OpFLTS
-		case 0:
-			op = OpFLES
-		default:
-			return Inst{}, fmt.Errorf("isa: bad fp-compare funct3 %d", f3)
-		}
-		return Inst{Op: op, Rd: rd, Rs1: frs1, Rs2: frs2, Rs3: none}, nil
+// decodeImm is encodeImm's inverse: the sign-extended immediate of format
+// f (zero-extended for shift amounts and CSR numbers).
+func decodeImm(f format, word uint32) int32 {
+	switch f {
+	case fmtI, fmtLoad:
+		return int32(word) >> 20
+	case fmtShift:
+		return int32(word >> 20 & 31)
+	case fmtCSR:
+		return int32(word >> 20)
+	case fmtStore:
+		return int32(word)>>25<<5 | int32(word>>7&31)
+	case fmtB:
+		return int32(word)>>31<<12 | int32(word>>7&1)<<11 |
+			int32(word>>25&0x3F)<<5 | int32(word>>8&0xF)<<1
+	case fmtU:
+		return int32(word & 0xFFFFF000)
+	case fmtJ:
+		return int32(word)>>31<<20 | int32(word>>12&0xFF)<<12 |
+			int32(word>>20&1)<<11 | int32(word>>21&0x3FF)<<1
 	}
-	return Inst{}, fmt.Errorf("isa: bad OP-FP funct7 %#x", f7)
+	return 0
 }

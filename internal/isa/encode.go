@@ -2,209 +2,67 @@ package isa
 
 import "fmt"
 
-// RISC-V major opcodes.
-const (
-	opcLOAD    = 0x03
-	opcLOADFP  = 0x07
-	opcMISCMEM = 0x0F
-	opcOPIMM   = 0x13
-	opcAUIPC   = 0x17
-	opcSTORE   = 0x23
-	opcSTOREFP = 0x27
-	opcOP      = 0x33
-	opcLUI     = 0x37
-	opcMADD    = 0x43
-	opcMSUB    = 0x47
-	opcNMSUB   = 0x4B
-	opcNMADD   = 0x4F
-	opcOPFP    = 0x53
-	opcBRANCH  = 0x63
-	opcJALR    = 0x67
-	opcJAL     = 0x6F
-	opcSYSTEM  = 0x73
-)
+// fieldShift is the bit position of the rd, rs1, rs2 and rs3 fields.
+var fieldShift = [4]uint{7, 15, 20, 27}
 
-type rspec struct {
-	opcode uint32
-	funct3 uint32
-	funct7 uint32
-}
-
-var rEnc = map[Op]rspec{
-	OpADD:    {opcOP, 0, 0x00},
-	OpSUB:    {opcOP, 0, 0x20},
-	OpSLL:    {opcOP, 1, 0x00},
-	OpSLT:    {opcOP, 2, 0x00},
-	OpSLTU:   {opcOP, 3, 0x00},
-	OpXOR:    {opcOP, 4, 0x00},
-	OpSRL:    {opcOP, 5, 0x00},
-	OpSRA:    {opcOP, 5, 0x20},
-	OpOR:     {opcOP, 6, 0x00},
-	OpAND:    {opcOP, 7, 0x00},
-	OpMUL:    {opcOP, 0, 0x01},
-	OpMULH:   {opcOP, 1, 0x01},
-	OpMULHSU: {opcOP, 2, 0x01},
-	OpMULHU:  {opcOP, 3, 0x01},
-	OpDIV:    {opcOP, 4, 0x01},
-	OpDIVU:   {opcOP, 5, 0x01},
-	OpREM:    {opcOP, 6, 0x01},
-	OpREMU:   {opcOP, 7, 0x01},
-}
-
-var iEnc = map[Op]rspec{
-	OpADDI:  {opcOPIMM, 0, 0},
-	OpSLTI:  {opcOPIMM, 2, 0},
-	OpSLTIU: {opcOPIMM, 3, 0},
-	OpXORI:  {opcOPIMM, 4, 0},
-	OpORI:   {opcOPIMM, 6, 0},
-	OpANDI:  {opcOPIMM, 7, 0},
-	OpJALR:  {opcJALR, 0, 0},
-	OpLB:    {opcLOAD, 0, 0},
-	OpLH:    {opcLOAD, 1, 0},
-	OpLW:    {opcLOAD, 2, 0},
-	OpLBU:   {opcLOAD, 4, 0},
-	OpLHU:   {opcLOAD, 5, 0},
-	OpFLW:   {opcLOADFP, 2, 0},
-}
-
-var sEnc = map[Op]rspec{
-	OpSB:  {opcSTORE, 0, 0},
-	OpSH:  {opcSTORE, 1, 0},
-	OpSW:  {opcSTORE, 2, 0},
-	OpFSW: {opcSTOREFP, 2, 0},
-}
-
-var bEnc = map[Op]uint32{
-	OpBEQ: 0, OpBNE: 1, OpBLT: 4, OpBGE: 5, OpBLTU: 6, OpBGEU: 7,
-}
-
-// fpEnc covers OP-FP instructions: funct7 plus a fixed funct3 where the
-// encoding requires one (negative means "rounding mode", encoded as 0 RNE).
-type fpSpec struct {
-	funct7 uint32
-	funct3 int32 // -1: rounding-mode field
-	rs2    int32 // -1: real rs2; otherwise fixed rs2 field value
-}
-
-var fpEnc = map[Op]fpSpec{
-	OpFADDS:   {0x00, -1, -1},
-	OpFSUBS:   {0x04, -1, -1},
-	OpFMULS:   {0x08, -1, -1},
-	OpFDIVS:   {0x0C, -1, -1},
-	OpFSQRTS:  {0x2C, -1, 0},
-	OpFSGNJS:  {0x10, 0, -1},
-	OpFSGNJNS: {0x10, 1, -1},
-	OpFSGNJXS: {0x10, 2, -1},
-	OpFMINS:   {0x14, 0, -1},
-	OpFMAXS:   {0x14, 1, -1},
-	OpFCVTWS:  {0x60, -1, 0},
-	OpFCVTWUS: {0x60, -1, 1},
-	OpFCVTSW:  {0x68, -1, 0},
-	OpFCVTSWU: {0x68, -1, 1},
-	OpFMVXW:   {0x70, 0, 0},
-	OpFCLASSS: {0x70, 1, 0},
-	OpFEQS:    {0x50, 2, -1},
-	OpFLTS:    {0x50, 1, -1},
-	OpFLES:    {0x50, 0, -1},
-	OpFMVWX:   {0x78, 0, 0},
-}
-
-var fmaEnc = map[Op]uint32{
-	OpFMADDS: opcMADD, OpFMSUBS: opcMSUB, OpFNMSUBS: opcNMSUB, OpFNMADDS: opcNMADD,
-}
-
-var csrEnc = map[Op]uint32{OpCSRRW: 1, OpCSRRS: 2, OpCSRRC: 3}
-
-// Encode converts an instruction to its 32-bit RISC-V machine encoding.
+// Encode converts an instruction to its 32-bit RISC-V machine encoding: the
+// op's fixed bits, its register fields and its immediate. Every register
+// operand must be in the file the op reads or writes (add takes x
+// registers, fadd.s f registers); unused operand slots are ignored.
 func Encode(in Inst) (uint32, error) {
-	rd := uint32(in.Rd.Num())
-	rs1 := uint32(in.Rs1.Num())
-	rs2 := uint32(in.Rs2.Num())
-	if in.Rd == RegNone {
-		rd = 0
+	if in.Op == OpInvalid || in.Op >= numOps {
+		return 0, fmt.Errorf("isa: cannot encode %v", in)
 	}
-	if in.Rs1 == RegNone {
-		rs1 = 0
+	r := &opTable[in.Op]
+	word := r.match
+	for i, reg := range [4]Reg{in.Rd, in.Rs1, in.Rs2, in.Rs3} {
+		switch r.regs[i] {
+		case '-':
+			continue
+		case 'x':
+			if !reg.IsInt() {
+				return 0, fmt.Errorf("isa: %s needs an x register, not %v, in %v", slotNames[i], reg, in)
+			}
+		case 'f':
+			if !reg.IsFP() {
+				return 0, fmt.Errorf("isa: %s needs an f register, not %v, in %v", slotNames[i], reg, in)
+			}
+		}
+		word |= uint32(reg.Num()) << fieldShift[i]
 	}
-	if in.Rs2 == RegNone {
-		rs2 = 0
+	imm, err := encodeImm(r.format, in)
+	if err != nil {
+		return 0, err
 	}
+	return word | imm, nil
+}
+
+var slotNames = [4]string{"rd", "rs1", "rs2", "rs3"}
+
+// encodeImm returns the immediate bits of in's format, after its range
+// check. Shift amounts, CSR numbers and upper immediates keep only the bits
+// their field holds.
+func encodeImm(f format, in Inst) (uint32, error) {
 	imm := uint32(in.Imm)
-
-	switch {
-	case in.Op == OpNOP:
-		return encodeI(0, 0, 0, opcOPIMM), nil // addi x0, x0, 0
-	case in.Op == OpECALL:
-		return 0x00000073, nil
-	case in.Op == OpEBREAK:
-		return 0x00100073, nil
-	case in.Op == OpFENCE:
-		return 0x0000000F, nil
-	case in.Op == OpLUI:
-		return (imm & 0xFFFFF000) | rd<<7 | opcLUI, nil
-	case in.Op == OpAUIPC:
-		return (imm & 0xFFFFF000) | rd<<7 | opcAUIPC, nil
-	case in.Op == OpJAL:
-		if err := checkRange(in.Imm, 21, 2, in); err != nil {
-			return 0, err
-		}
-		return encodeJ(imm, rd), nil
-	case in.Op == OpSLLI || in.Op == OpSRLI || in.Op == OpSRAI:
-		shamt := imm & 31
-		f7 := uint32(0)
-		var f3 uint32
-		switch in.Op {
-		case OpSLLI:
-			f3 = 1
-		case OpSRLI:
-			f3 = 5
-		case OpSRAI:
-			f3, f7 = 5, 0x20
-		}
-		return f7<<25 | shamt<<20 | rs1<<15 | f3<<12 | rd<<7 | opcOPIMM, nil
+	switch f {
+	case fmtI, fmtLoad:
+		return (imm & 0xFFF) << 20, checkRange(in.Imm, 12, 1, in)
+	case fmtShift:
+		return (imm & 31) << 20, nil
+	case fmtCSR:
+		return (imm & 0xFFF) << 20, nil
+	case fmtStore:
+		return (imm>>5&0x7F)<<25 | (imm&0x1F)<<7, checkRange(in.Imm, 12, 1, in)
+	case fmtB:
+		return (imm>>12&1)<<31 | (imm>>5&0x3F)<<25 | (imm>>1&0xF)<<8 | (imm>>11&1)<<7,
+			checkRange(in.Imm, 13, 2, in)
+	case fmtU:
+		return imm & 0xFFFFF000, nil
+	case fmtJ:
+		return (imm>>20&1)<<31 | (imm>>1&0x3FF)<<21 | (imm>>11&1)<<20 | (imm>>12&0xFF)<<12,
+			checkRange(in.Imm, 21, 2, in)
 	}
-
-	if spec, ok := rEnc[in.Op]; ok {
-		return spec.funct7<<25 | rs2<<20 | rs1<<15 | spec.funct3<<12 | rd<<7 | spec.opcode, nil
-	}
-	if spec, ok := iEnc[in.Op]; ok {
-		if err := checkRange(in.Imm, 12, 1, in); err != nil {
-			return 0, err
-		}
-		return (imm&0xFFF)<<20 | rs1<<15 | spec.funct3<<12 | rd<<7 | spec.opcode, nil
-	}
-	if spec, ok := sEnc[in.Op]; ok {
-		if err := checkRange(in.Imm, 12, 1, in); err != nil {
-			return 0, err
-		}
-		return (imm>>5&0x7F)<<25 | rs2<<20 | rs1<<15 | spec.funct3<<12 |
-			(imm&0x1F)<<7 | spec.opcode, nil
-	}
-	if f3, ok := bEnc[in.Op]; ok {
-		if err := checkRange(in.Imm, 13, 2, in); err != nil {
-			return 0, err
-		}
-		return encodeB(imm, rs2, rs1, f3), nil
-	}
-	if spec, ok := fpEnc[in.Op]; ok {
-		f3 := uint32(0)
-		if spec.funct3 >= 0 {
-			f3 = uint32(spec.funct3)
-		}
-		r2 := rs2
-		if spec.rs2 >= 0 {
-			r2 = uint32(spec.rs2)
-		}
-		return spec.funct7<<25 | r2<<20 | rs1<<15 | f3<<12 | rd<<7 | opcOPFP, nil
-	}
-	if opc, ok := fmaEnc[in.Op]; ok {
-		rs3 := uint32(in.Rs3.Num())
-		return rs3<<27 | 0<<25 | rs2<<20 | rs1<<15 | 0<<12 | rd<<7 | opc, nil
-	}
-	if f3, ok := csrEnc[in.Op]; ok {
-		return (imm&0xFFF)<<20 | rs1<<15 | f3<<12 | rd<<7 | opcSYSTEM, nil
-	}
-	return 0, fmt.Errorf("isa: cannot encode %v", in)
+	return 0, nil
 }
 
 // MustEncode is Encode but panics on error; for use in tests and builders
@@ -215,20 +73,6 @@ func MustEncode(in Inst) uint32 {
 		panic(err)
 	}
 	return w
-}
-
-func encodeI(imm, rs1, rd, opc uint32) uint32 {
-	return (imm&0xFFF)<<20 | rs1<<15 | rd<<7 | opc
-}
-
-func encodeB(imm, rs2, rs1, f3 uint32) uint32 {
-	return (imm>>12&1)<<31 | (imm>>5&0x3F)<<25 | rs2<<20 | rs1<<15 |
-		f3<<12 | (imm>>1&0xF)<<8 | (imm>>11&1)<<7 | opcBRANCH
-}
-
-func encodeJ(imm, rd uint32) uint32 {
-	return (imm>>20&1)<<31 | (imm>>1&0x3FF)<<21 | (imm>>11&1)<<20 |
-		(imm>>12&0xFF)<<12 | rd<<7 | opcJAL
 }
 
 func checkRange(imm int32, bits, align uint, in Inst) error {

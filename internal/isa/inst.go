@@ -1,6 +1,6 @@
 package isa
 
-import "fmt"
+import "strconv"
 
 // Inst is a decoded RV32IMF instruction. Rs3 is used only by the fused
 // multiply-add family; unused operand slots hold RegNone. Imm holds the
@@ -61,13 +61,10 @@ func (in Inst) IsBackwardBranch() bool {
 
 // Dest returns the destination register and whether the instruction writes
 // one. Writes to x0 are discarded by the architecture and reported as no
-// destination.
+// destination. System instructions report none, csrr* included, although
+// the functional simulator writes their rd (as zero).
 func (in Inst) Dest() (Reg, bool) {
-	switch in.Op.Class() {
-	case ClassStore, ClassBranch, ClassSystem, ClassInvalid:
-		return RegNone, false
-	}
-	if in.Op == OpNOP || in.Rd == RegNone || in.Rd == X0 {
+	if in.Op.info().regs[0] == '-' || in.IsSystem() || in.Rd == RegNone || in.Rd == X0 {
 		return RegNone, false
 	}
 	return in.Rd, true
@@ -78,71 +75,45 @@ func (in Inst) Dest() (Reg, bool) {
 // reported as RegNone because x0 carries the constant zero and creates no
 // dataflow dependency.
 func (in Inst) Sources() [3]Reg {
+	r := in.Op.info()
 	srcs := [3]Reg{RegNone, RegNone, RegNone}
-	norm := func(r Reg) Reg {
-		if r == X0 || r == RegNone {
-			return RegNone
-		}
-		return r
-	}
-	switch in.Op {
-	case OpLUI, OpAUIPC, OpJAL, OpNOP, OpECALL, OpEBREAK, OpFENCE:
-		// no register sources
-	case OpFMADDS, OpFMSUBS, OpFNMADDS, OpFNMSUBS:
-		srcs[0], srcs[1], srcs[2] = norm(in.Rs1), norm(in.Rs2), norm(in.Rs3)
-	default:
-		srcs[0] = norm(in.Rs1)
-		if usesRs2(in.Op) {
-			srcs[1] = norm(in.Rs2)
+	for i, reg := range [3]Reg{in.Rs1, in.Rs2, in.Rs3} {
+		if r.regs[i+1] != '-' && reg != X0 {
+			srcs[i] = reg
 		}
 	}
 	return srcs
 }
 
-// usesRs2 reports whether op reads a second register operand.
-func usesRs2(op Op) bool {
-	switch op {
-	case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND,
-		OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU,
-		OpSB, OpSH, OpSW, OpFSW,
-		OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU,
-		OpFADDS, OpFSUBS, OpFMULS, OpFDIVS, OpFMINS, OpFMAXS,
-		OpFEQS, OpFLTS, OpFLES, OpFSGNJS, OpFSGNJNS, OpFSGNJXS:
-		return true
-	}
-	return false
-}
-
-// String renders the instruction in conventional assembly syntax.
+// String renders the instruction in conventional assembly syntax: the
+// mnemonic, then the op's operands (Op.Operands) separated by commas.
 func (in Inst) String() string {
-	op := in.Op
-	switch {
-	case op == OpNOP:
-		return "nop"
-	case op == OpECALL || op == OpEBREAK || op == OpFENCE:
-		return op.String()
-	case op == OpLUI || op == OpAUIPC:
-		return fmt.Sprintf("%s %s, 0x%x", op, in.Rd, uint32(in.Imm)>>12)
-	case op == OpJAL:
-		return fmt.Sprintf("%s %s, %d", op, in.Rd, in.Imm)
-	case op == OpJALR:
-		return fmt.Sprintf("%s %s, %d(%s)", op, in.Rd, in.Imm, in.Rs1)
-	case in.IsLoad():
-		return fmt.Sprintf("%s %s, %d(%s)", op, in.Rd, in.Imm, in.Rs1)
-	case in.IsStore():
-		return fmt.Sprintf("%s %s, %d(%s)", op, in.Rs2, in.Imm, in.Rs1)
-	case in.IsBranch():
-		return fmt.Sprintf("%s %s, %s, %d", op, in.Rs1, in.Rs2, in.Imm)
-	case op == OpFSQRTS || op == OpFCVTWS || op == OpFCVTWUS || op == OpFCVTSW ||
-		op == OpFCVTSWU || op == OpFMVXW || op == OpFMVWX || op == OpFCLASSS:
-		return fmt.Sprintf("%s %s, %s", op, in.Rd, in.Rs1)
-	case op == OpFMADDS || op == OpFMSUBS || op == OpFNMADDS || op == OpFNMSUBS:
-		return fmt.Sprintf("%s %s, %s, %s, %s", op, in.Rd, in.Rs1, in.Rs2, in.Rs3)
-	case op.HasImm():
-		return fmt.Sprintf("%s %s, %s, %d", op, in.Rd, in.Rs1, in.Imm)
-	default:
-		return fmt.Sprintf("%s %s, %s, %s", op, in.Rd, in.Rs1, in.Rs2)
+	b := []byte(in.Op.String())
+	for i, o := range in.Op.Operands() {
+		if i == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		switch o {
+		case OperandRd:
+			b = append(b, in.Rd.String()...)
+		case OperandRs1:
+			b = append(b, in.Rs1.String()...)
+		case OperandRs2:
+			b = append(b, in.Rs2.String()...)
+		case OperandRs3:
+			b = append(b, in.Rs3.String()...)
+		case OperandImm, OperandTarget:
+			b = strconv.AppendInt(b, int64(in.Imm), 10)
+		case OperandUpper:
+			b = strconv.AppendUint(append(b, "0x"...), uint64(uint32(in.Imm)>>12), 16)
+		case OperandMem:
+			b = append(strconv.AppendInt(b, int64(in.Imm), 10), '(')
+			b = append(append(b, in.Rs1.String()...), ')')
+		}
 	}
+	return string(b)
 }
 
 // Program is a contiguous sequence of instructions starting at Base. Symbols

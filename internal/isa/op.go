@@ -130,43 +130,6 @@ const (
 // NumOps reports the number of distinct operations (for table sizing).
 const NumOps = int(numOps)
 
-var opNames = [...]string{
-	OpInvalid: "invalid",
-	OpADD:     "add", OpSUB: "sub", OpSLL: "sll", OpSLT: "slt", OpSLTU: "sltu",
-	OpXOR: "xor", OpSRL: "srl", OpSRA: "sra", OpOR: "or", OpAND: "and",
-	OpADDI: "addi", OpSLTI: "slti", OpSLTIU: "sltiu", OpXORI: "xori",
-	OpORI: "ori", OpANDI: "andi", OpSLLI: "slli", OpSRLI: "srli", OpSRAI: "srai",
-	OpLUI: "lui", OpAUIPC: "auipc",
-	OpMUL: "mul", OpMULH: "mulh", OpMULHSU: "mulhsu", OpMULHU: "mulhu",
-	OpDIV: "div", OpDIVU: "divu", OpREM: "rem", OpREMU: "remu",
-	OpLB: "lb", OpLH: "lh", OpLW: "lw", OpLBU: "lbu", OpLHU: "lhu",
-	OpSB: "sb", OpSH: "sh", OpSW: "sw",
-	OpBEQ: "beq", OpBNE: "bne", OpBLT: "blt", OpBGE: "bge",
-	OpBLTU: "bltu", OpBGEU: "bgeu",
-	OpJAL: "jal", OpJALR: "jalr",
-	OpFLW: "flw", OpFSW: "fsw",
-	OpFADDS: "fadd.s", OpFSUBS: "fsub.s", OpFMULS: "fmul.s", OpFDIVS: "fdiv.s",
-	OpFSQRTS: "fsqrt.s", OpFMINS: "fmin.s", OpFMAXS: "fmax.s",
-	OpFMADDS: "fmadd.s", OpFMSUBS: "fmsub.s",
-	OpFNMADDS: "fnmadd.s", OpFNMSUBS: "fnmsub.s",
-	OpFCVTWS: "fcvt.w.s", OpFCVTWUS: "fcvt.wu.s",
-	OpFCVTSW: "fcvt.s.w", OpFCVTSWU: "fcvt.s.wu",
-	OpFMVXW: "fmv.x.w", OpFMVWX: "fmv.w.x",
-	OpFEQS: "feq.s", OpFLTS: "flt.s", OpFLES: "fle.s",
-	OpFSGNJS: "fsgnj.s", OpFSGNJNS: "fsgnjn.s", OpFSGNJXS: "fsgnjx.s",
-	OpFCLASSS: "fclass.s",
-	OpECALL:   "ecall", OpEBREAK: "ebreak", OpFENCE: "fence",
-	OpCSRRW: "csrrw", OpCSRRS: "csrrs", OpCSRRC: "csrrc",
-	OpNOP: "nop",
-}
-
-func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
-}
-
 // Class groups operations by the functional-unit type that executes them.
 // PE capability masks (F_op in the paper) and latency tables are keyed by
 // Class.
@@ -238,61 +201,4 @@ func ClassLatencies() [NumClasses]float64 {
 		l[c] = float64(t.Latency)
 	}
 	return l
-}
-
-var opClasses = [numOps]Class{
-	OpADD: ClassALU, OpSUB: ClassALU, OpSLL: ClassALU, OpSLT: ClassALU,
-	OpSLTU: ClassALU, OpXOR: ClassALU, OpSRL: ClassALU, OpSRA: ClassALU,
-	OpOR: ClassALU, OpAND: ClassALU,
-	OpADDI: ClassALU, OpSLTI: ClassALU, OpSLTIU: ClassALU, OpXORI: ClassALU,
-	OpORI: ClassALU, OpANDI: ClassALU, OpSLLI: ClassALU, OpSRLI: ClassALU,
-	OpSRAI: ClassALU, OpLUI: ClassALU, OpAUIPC: ClassALU, OpNOP: ClassALU,
-	OpMUL: ClassMul, OpMULH: ClassMul, OpMULHSU: ClassMul, OpMULHU: ClassMul,
-	OpDIV: ClassDiv, OpDIVU: ClassDiv, OpREM: ClassDiv, OpREMU: ClassDiv,
-	OpLB: ClassLoad, OpLH: ClassLoad, OpLW: ClassLoad, OpLBU: ClassLoad,
-	OpLHU: ClassLoad, OpFLW: ClassLoad,
-	OpSB: ClassStore, OpSH: ClassStore, OpSW: ClassStore, OpFSW: ClassStore,
-	OpBEQ: ClassBranch, OpBNE: ClassBranch, OpBLT: ClassBranch,
-	OpBGE: ClassBranch, OpBLTU: ClassBranch, OpBGEU: ClassBranch,
-	OpJAL: ClassJump, OpJALR: ClassJump,
-	OpFADDS: ClassFPAdd, OpFSUBS: ClassFPAdd, OpFMINS: ClassFPAdd,
-	OpFMAXS: ClassFPAdd, OpFSGNJS: ClassFPAdd, OpFSGNJNS: ClassFPAdd,
-	OpFSGNJXS: ClassFPAdd, OpFEQS: ClassFPAdd, OpFLTS: ClassFPAdd,
-	OpFLES: ClassFPAdd, OpFCVTWS: ClassFPAdd, OpFCVTWUS: ClassFPAdd,
-	OpFCVTSW: ClassFPAdd, OpFCVTSWU: ClassFPAdd, OpFMVXW: ClassFPAdd,
-	OpFMVWX: ClassFPAdd, OpFCLASSS: ClassFPAdd,
-	OpFMULS: ClassFPMul, OpFMADDS: ClassFPMul, OpFMSUBS: ClassFPMul,
-	OpFNMADDS: ClassFPMul, OpFNMSUBS: ClassFPMul,
-	OpFDIVS: ClassFPDiv, OpFSQRTS: ClassFPDiv,
-	OpECALL: ClassSystem, OpEBREAK: ClassSystem, OpFENCE: ClassSystem,
-	OpCSRRW: ClassSystem, OpCSRRS: ClassSystem, OpCSRRC: ClassSystem,
-}
-
-// Class reports the functional-unit class of o.
-func (o Op) Class() Class {
-	if o < numOps {
-		return opClasses[o]
-	}
-	return ClassInvalid
-}
-
-// IsFP reports whether o reads or writes the floating-point register file.
-func (o Op) IsFP() bool {
-	switch o.Class() {
-	case ClassFPAdd, ClassFPMul, ClassFPDiv:
-		return true
-	}
-	return o == OpFLW || o == OpFSW
-}
-
-// HasImm reports whether o carries an immediate operand.
-func (o Op) HasImm() bool {
-	switch o {
-	case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI, OpSLLI, OpSRLI,
-		OpSRAI, OpLUI, OpAUIPC, OpLB, OpLH, OpLW, OpLBU, OpLHU, OpSB, OpSH,
-		OpSW, OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU, OpJAL, OpJALR,
-		OpFLW, OpFSW, OpCSRRW, OpCSRRS, OpCSRRC:
-		return true
-	}
-	return false
 }

@@ -4,10 +4,22 @@ import "testing"
 
 // FuzzDecodeEncode checks the Decode↔Encode round trip over arbitrary
 // machine words. Exact word-level identity cannot hold for every decodable
-// word — Decode deliberately ignores fields the simulator does not model
-// (FP rounding modes, fence orderings, non-zero shift funct7 bits) — so the
-// property is canonicalization: one Decode→Encode trip must reach a fixed
-// point without losing instruction semantics.
+// word, because Decode ignores fields the simulator does not model (the
+// fields outside each op's mask in the op table):
+//
+//   - the rounding mode (funct3) of the OP-FP arithmetic, square root,
+//     conversion and fmv.w.x ops and of the fused multiply-adds;
+//   - every field of a MISC-MEM word: any one decodes as fence (fence.i too);
+//   - funct7 of slli, and of srli unless it is srai's 0x20;
+//   - rs2 of fsqrt.s, fmv.x.w, fmv.w.x and fclass.s, and of fcvt.w.s and
+//     fcvt.s.w unless it is 1, their unsigned forms;
+//   - funct3 of fmv.x.w unless it is 1, fclass.s;
+//   - the immediate, rd and rs1 of a SYSTEM funct3-0 word: an immediate of 1
+//     is ebreak and any other is ecall, so mret (0x30200073) and wfi
+//     (0x10500073) decode as ecall.
+//
+// So the property is canonicalization: one Decode→Encode trip must reach a
+// fixed point without losing instruction semantics.
 //
 // The committed corpus pins branch-offset sign/boundary encodings: the
 // ±4 KiB B-type extremes, the ±1 MiB J-type extremes, and the -2048/+2047

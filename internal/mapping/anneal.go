@@ -11,8 +11,6 @@ import (
 	"mesa/internal/sched"
 )
 
-func init() { Register(annealStrategy{}) }
-
 const (
 	// annealSteps is the refinement budget: enough to explore the
 	// M-128-scale grids the paper targets while keeping a full kernel

@@ -6,8 +6,6 @@ import (
 	"mesa/internal/accel"
 )
 
-func init() { Register(autoStrategy{}) }
-
 // autoStrategy selects a concrete strategy per mapping from the region's
 // measured bottleneck attribution: greedy while the bound is the loop's
 // own recurrence or compute (no placement change can beat it), congestion

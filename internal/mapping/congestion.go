@@ -5,8 +5,6 @@ import (
 	"mesa/internal/noc"
 )
 
-func init() { Register(congestionStrategy{}) }
-
 const (
 	// congestionRowWeight converts a row's measured NoC lane occupancy
 	// (0..1) into equivalent latency cycles during candidate scoring.

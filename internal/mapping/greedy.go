@@ -11,8 +11,6 @@ import (
 	"mesa/internal/sched"
 )
 
-func init() { Register(greedyStrategy{}) }
-
 // greedyStrategy is the paper's hardware mapper behind the Strategy
 // interface. It is the default and the seed for every refinement strategy.
 type greedyStrategy struct{}

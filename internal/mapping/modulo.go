@@ -10,8 +10,6 @@ import (
 	"mesa/internal/sched"
 )
 
-func init() { Register(moduloStrategy{}) }
-
 const (
 	// moduloMaxIITries bounds the II search: candidate intervals from
 	// max(ResMII, RecMII) upward. Bounds other than the NoC pressure are

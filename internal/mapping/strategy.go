@@ -1,6 +1,6 @@
 // Package mapping holds MESA's placement machinery: the Logical and Spatial
 // Dataflow Graph types, the imap FSM timing model, and a registry of
-// pluggable mapping strategies behind the Strategy interface.
+// mapping strategies behind the Strategy interface.
 //
 // The paper's Algorithm 1 (the hardware's single-pass greedy mapper) is the
 // default "greedy" strategy; "greedy+anneal" refines its placement with a
@@ -13,9 +13,7 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"mesa/internal/accel"
 )
@@ -33,48 +31,34 @@ type Strategy interface {
 	Map(l *LDFG, be *accel.Config, o Options) (*SDFG, *MapStats, error)
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Strategy{}
-)
-
-// Register adds a strategy to the registry. Registering a duplicate name
-// panics: strategy names key result caches and CLI flags, so a silent
-// replacement would corrupt both.
-func Register(s Strategy) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, ok := registry[s.Name()]; ok {
-		panic(fmt.Sprintf("mapping: strategy %q registered twice", s.Name()))
-	}
-	registry[s.Name()] = s
+// strategies is the registry, sorted by name: strategy names key result
+// caches and CLI flags, so each appears once.
+var strategies = []Strategy{
+	autoStrategy{},
+	congestionStrategy{},
+	greedyStrategy{},
+	annealStrategy{},
+	moduloStrategy{},
 }
 
 // ByName looks a strategy up by its registry name. The error lists every
 // available strategy, so CLI surfaces can relay it verbatim.
 func ByName(name string) (Strategy, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	if s, ok := registry[name]; ok {
-		return s, nil
+	for _, s := range strategies {
+		if s.Name() == name {
+			return s, nil
+		}
 	}
 	return nil, fmt.Errorf("mapping: unknown strategy %q (available: %s)",
-		name, strings.Join(namesLocked(), ", "))
+		name, strings.Join(Names(), ", "))
 }
 
 // Names returns the registered strategy names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(strategies))
+	for i, s := range strategies {
+		out[i] = s.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -146,7 +146,7 @@ func (mc *Machine) Step() error {
 	default:
 		a := mc.Reg(in.Rs1)
 		b := mc.Reg(in.Rs2)
-		if in.Op.HasImm() || in.Op == isa.OpLUI {
+		if in.Op.HasImm() {
 			b = uint32(in.Imm)
 		}
 		c := mc.Reg(in.Rs3)
