@@ -1,8 +1,9 @@
 # Pre-merge checks for the MESA reproduction.
 #
-#   make ci          # everything a PR must pass: fmt + vet + lint + test + test-race + bench-check
+#   make ci          # everything a PR must pass: fmt + vet + lint + test + test-race +
+#                    # bench-module + fuzz-smoke + mesad-smoke + bench-check + bench-mappers
 #   make fmt         # every Go file is gofmt-clean (lists the offenders)
-#   make bench-module # vet + test the benchmark harness in bench/ (its own Go module)
+#   make bench-module # vet + test (plain and -race) the benchmark harness in bench/ (its own Go module)
 #   make lint        # staticcheck (pinned version; skipped with a notice when unavailable offline)
 #   make test        # tier-1: go build + go test
 #   make test-race   # the sweep fan-out must be race-clean
@@ -59,10 +60,10 @@ test-race:
 	$(GO) test -race ./...
 
 # bench/ is its own Go module (the repository benchmark), so the root
-# `go test ./...` never compiles it; it imports internal packages, so API
-# changes must keep it building.
+# `go test ./...` and `go test -race ./...` never compile it; it imports
+# internal packages, so API changes must keep it building and race-clean.
 bench-module:
-	cd bench && $(GO) vet ./... && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) test -race ./...
 
 # Bounded runs of every native fuzz target. The committed corpora replay in
 # plain `make test`; this additionally explores new inputs for a few seconds

@@ -521,16 +521,15 @@ func (e *Engine) prefetchNext(id dfg.NodeID, addr uint32) {
 }
 
 // storeBufEntry is an in-flight store visible to later loads of the same
-// iteration (program-order forwarding, Figure 5).
+// iteration (program-order forwarding, Figure 5). Only enabled store nodes
+// append one, so every entry commits.
 type storeBufEntry struct {
-	node      dfg.NodeID
 	addr      uint32
 	width     uint32
 	value     uint32
 	dataReady float64 // when the store's data is available to forward
 	addrReady float64 // when the store's address resolves
 	op        isa.Op
-	enabled   bool
 }
 
 // readReg reads an architectural live-in register (x0 and the none sentinel
@@ -664,9 +663,6 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 			var conflictDone float64
 			for s := len(storeBuf) - 1; s >= 0; s-- {
 				st := &storeBuf[s]
-				if !st.enabled {
-					continue
-				}
 				if !overlap(st.addr, st.width, addr, width) {
 					continue
 				}
@@ -720,8 +716,8 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 			at := e.port(start, addr)
 			done = at + 1
 			storeBuf = append(storeBuf, storeBufEntry{
-				node: id, addr: addr, width: width, value: opVal[1],
-				dataReady: done, addrReady: start, op: n.Inst.Op, enabled: true,
+				addr: addr, width: width, value: opVal[1],
+				dataReady: done, addrReady: start, op: n.Inst.Op,
 			})
 			val = opVal[1]
 
@@ -783,13 +779,10 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 		}
 	}
 
-	// Commit enabled stores to memory in program order, then park the buffer's
-	// grown backing array on the engine for the next iteration.
+	// Commit the buffered stores to memory in program order, then park the
+	// buffer's grown backing array on the engine for the next iteration.
 	for i := range storeBuf {
 		st := &storeBuf[i]
-		if !st.enabled || !e.enabled[st.node] {
-			continue
-		}
 		if err := e.mem.Store(st.op, st.addr, st.value); err != nil {
 			return IterationResult{}, err
 		}
@@ -822,12 +815,12 @@ func (e *Engine) RunIteration(regs *[isa.NumRegs]uint32) (IterationResult, error
 func (e *Engine) AddElapsed(cycles float64) { e.activity.Cycles += cycles }
 
 // loadThroughBuffer reads memory as seen at this point of the iteration:
-// earlier enabled stores of the same iteration shadow memory contents.
+// earlier stores of the same iteration shadow memory contents.
 func loadThroughBuffer(m *mem.Memory, op isa.Op, addr uint32, buf []storeBufEntry) (uint32, error) {
 	width := mem.AccessBytes(op)
 	covered := false
 	for s := len(buf) - 1; s >= 0 && !covered; s-- {
-		if buf[s].enabled && overlap(buf[s].addr, buf[s].width, addr, width) {
+		if overlap(buf[s].addr, buf[s].width, addr, width) {
 			covered = true
 		}
 	}
@@ -843,9 +836,6 @@ func loadThroughBuffer(m *mem.Memory, op isa.Op, addr uint32, buf []storeBufEntr
 		bytes[k] = m.LoadByte(addr + uint32(k))
 	}
 	for _, st := range buf {
-		if !st.enabled {
-			continue
-		}
 		for k := uint32(0); k < st.width; k++ {
 			a := st.addr + k
 			if a >= addr && a < addr+width {
@@ -875,21 +865,5 @@ func (e *Engine) Counters() *Counters { return &e.counters }
 
 // Activity returns the accumulated component activity for energy modeling.
 func (e *Engine) Activity() Activity { return e.activity }
-
-// ResetCounters clears measured statistics (used between optimization
-// rounds so each round reflects the current configuration).
-func (e *Engine) ResetCounters() {
-	n := e.g.Len()
-	e.counters = Counters{
-		OpLatSum:     make([]float64, n),
-		OpLatN:       make([]uint64, n),
-		EdgeLatSum:   make([]float64, len(e.edgePairs)),
-		EdgeLatN:     make([]uint64, len(e.edgePairs)),
-		EdgePairs:    e.edgePairs,
-		RowTransfers: make([]uint64, e.cfg.Rows),
-		PortGrants:   make([]uint64, e.cfg.MemPorts),
-		PortWait:     make([]float64, e.cfg.MemPorts),
-	}
-}
 
 const invalidateLat = 2.0

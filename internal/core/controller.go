@@ -233,12 +233,9 @@ func (c *Controller) Trace(ev sim.Event) {
 	}
 }
 
+// configuredRegion is a region ready to offload. Its report holds the
+// region, its LDFG, the current placement and stats, and the tile count.
 type configuredRegion struct {
-	region *Region
-	ldfg   *LDFG
-	sdfg   *mapping.SDFG
-	stats  *mapping.MapStats
-	tiles  int
 	report *RegionReport
 
 	// delegate is the strategy the auto meta-strategy chose for this
@@ -313,7 +310,7 @@ func (c *Controller) RunMachine(machine *sim.Machine, hier *mem.Hierarchy, maxSt
 			if c.rec.Enabled() {
 				cost := float64(cr.report.ConfigCost.Total())
 				c.rec.CompleteArgs(obs.PIDController, 0, "fsm", "configure", c.now, cost,
-					map[string]any{"tiles": cr.tiles, "cache_hit": cr.report.ConfigCacheHit})
+					map[string]any{"tiles": cr.report.Tiles, "cache_hit": cr.report.ConfigCacheHit})
 				c.now += cost
 			}
 		}
@@ -341,7 +338,7 @@ func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumReg
 		}
 		rr.OverheadCycles = float64(rr.ConfigCost.Total())
 		report.Regions = append(report.Regions, rr)
-		return &configuredRegion{region: region, ldfg: ldfg, sdfg: sdfg, stats: rr.Stats, tiles: tiles, report: rr}, "", nil
+		return &configuredRegion{report: rr}, "", nil
 	}
 
 	ldfg, err := BuildLDFG(region.Insts, be.EstimateLat)
@@ -376,8 +373,7 @@ func (c *Controller) configure(region *Region, report *Report, regs *[isa.NumReg
 	rr.OverheadCycles = float64(rr.ConfigCost.Total())
 	c.cache.Insert(region.Start, sdfg, ldfg, tiles)
 	report.Regions = append(report.Regions, rr)
-	return &configuredRegion{region: region, ldfg: ldfg, sdfg: sdfg, stats: stats,
-		tiles: tiles, report: rr, delegate: stats.Delegate}, "", nil
+	return &configuredRegion{report: rr, delegate: stats.Delegate}, "", nil
 }
 
 // chooseTiles picks the spatial duplication factor for a parallel loop:
@@ -434,12 +430,12 @@ func (c *Controller) chooseTiles(region *Region, ldfg *LDFG, stats *mapping.MapS
 func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *mem.Hierarchy, report *Report) error {
 	be := c.opts.Backend
 	rr := cr.report
-	pipelined := c.opts.EnablePipelining && cr.region.Parallel
+	pipelined := c.opts.EnablePipelining && rr.Region.Parallel
 
 	// Configuration travels to the accelerator as the serialized bitstream
 	// (task T3): the engine is constructed from the decoded stream, so the
 	// bitstream provably carries the complete configuration.
-	engine, words, err := c.engineFromBitstream(be, cr.ldfg, cr.sdfg, machine.Mem, hier)
+	engine, words, err := c.engineFromBitstream(be, rr.LDFG, rr.SDFG, machine.Mem, hier)
 	if err != nil {
 		return err
 	}
@@ -458,10 +454,17 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 	checkPending := false
 	optimizeDone := false
 
-	swapEngine := func(s *mapping.SDFG) error {
+	// adopt reconfigures the region to a placement (a remap or the
+	// rollback to its predecessor): pay for the reconfiguration, cache the
+	// placement for re-entry, and continue on an engine built from it.
+	adopt := func(s *mapping.SDFG, stats *mapping.MapStats) error {
+		rr.SDFG, rr.Stats = s, stats
+		rr.OverheadCycles += float64(ReconfigureCost(rr.LDFG, stats, rr.Tiles).Total())
+		rr.Reconfigs++
+		c.cache.Insert(rr.Region.Start, s, rr.LDFG, rr.Tiles)
 		prevEngine := engine
 		var err error
-		engine, _, err = c.engineFromBitstream(be, cr.ldfg, s, machine.Mem, hier)
+		engine, _, err = c.engineFromBitstream(be, rr.LDFG, s, machine.Mem, hier)
 		if err != nil {
 			return err
 		}
@@ -476,7 +479,7 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 			batch = c.opts.OptimizeBatch
 		}
 		res, err := engine.RunLoop(&machine.Regs, accel.LoopOptions{
-			Pipelined: pipelined, Tiles: cr.tiles, MaxIterations: batch,
+			Pipelined: pipelined, Tiles: rr.Tiles, MaxIterations: batch,
 		})
 		if err != nil {
 			return err
@@ -500,14 +503,8 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 			if res.AvgIterCycles > prevAvg*1.02 && !res.Done {
 				// The adopted mapping measured worse: roll back and stop
 				// optimizing (the deterministic mapper would re-propose it).
-				cr.sdfg, cr.stats = prevSDFG, prevStats
-				rr.SDFG, rr.Stats = prevSDFG, prevStats
-				cost := ReconfigureCost(cr.ldfg, prevStats, cr.tiles)
-				rr.OverheadCycles += float64(cost.Total())
-				rr.Reconfigs++
 				roundRep.Reverted = true
-				c.cache.Insert(cr.region.Start, prevSDFG, cr.ldfg, cr.tiles)
-				if err := swapEngine(prevSDFG); err != nil {
+				if err := adopt(prevSDFG, prevStats); err != nil {
 					return err
 				}
 				if c.rec.Enabled() {
@@ -529,18 +526,18 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 			// Iterative optimization: fold measured counters into the DFG
 			// model, remap, and reconfigure when the model predicts a
 			// sufficiently better iteration latency.
-			g := cr.ldfg.Graph
+			g := rr.LDFG.Graph
 			if _, _, err := engine.Feedback(g); err != nil {
 				return err
 			}
-			current := cr.sdfg.Evaluate().Total
-			currentII := cr.sdfg.PredictedII(cr.tiles)
+			current := rr.SDFG.Evaluate().Total
+			currentII := rr.SDFG.PredictedII(rr.Tiles)
 			g.ClearMeasurements() // candidate placements use interconnect estimates
 			// The measured attribution flows into the remap: feedback-driven
 			// strategies (congestion) re-place away from the hot resources
 			// it names, and the auto meta-strategy selects its delegate from
 			// it, closing the measure → re-optimize loop.
-			newSDFG, newStats, mapErr := c.mapRegion(cr.ldfg, cr.tiles, res.Attrib, cr.delegate)
+			newSDFG, newStats, mapErr := c.mapRegion(rr.LDFG, rr.Tiles, res.Attrib, cr.delegate)
 			if mapErr == nil {
 				if newStats.Delegate != "" {
 					// Sticky per-region decision: once auto escalates,
@@ -554,24 +551,18 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 				// interval) is the objective; iteration latency decides
 				// serialized loops.
 				better := predicted < current*(1-improveThreshold)
-				if pipelined || cr.tiles > 1 {
+				if pipelined || rr.Tiles > 1 {
 					// Throughput-bound execution: only a genuinely lower
 					// initiation interval justifies paying for
 					// reconfiguration.
-					newII := newSDFG.PredictedII(cr.tiles)
+					newII := newSDFG.PredictedII(rr.Tiles)
 					better = newII < currentII*(1-improveThreshold)
 				}
-				if better && newSDFG.DiffersFrom(cr.sdfg) {
-					prevSDFG, prevStats, prevAvg = cr.sdfg, cr.stats, res.AvgIterCycles
+				if better && newSDFG.DiffersFrom(rr.SDFG) {
+					prevSDFG, prevStats, prevAvg = rr.SDFG, rr.Stats, res.AvgIterCycles
 					checkPending = true
-					cr.sdfg, cr.stats = newSDFG, newStats
-					rr.SDFG, rr.Stats = newSDFG, newStats
-					cost := ReconfigureCost(cr.ldfg, newStats, cr.tiles)
-					rr.OverheadCycles += float64(cost.Total())
-					rr.Reconfigs++
 					roundRep.Reconfigured = true
-					c.cache.Insert(cr.region.Start, newSDFG, cr.ldfg, cr.tiles)
-					if err := swapEngine(newSDFG); err != nil {
+					if err := adopt(newSDFG, newStats); err != nil {
 						return err
 					}
 					if c.rec.Enabled() {
@@ -589,7 +580,7 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 	// Tiling duplicates the configuration across the array: the work per
 	// iteration is unchanged (iterations are divided among tiles) but the
 	// powered-on region grows with the tile count.
-	rr.Activity.PEsConfigured *= float64(cr.tiles)
+	rr.Activity.PEsConfigured *= float64(rr.Tiles)
 	rr.Counters = engine.Counters()
 	report.AccelIterations += rr.Iterations
 
@@ -601,7 +592,7 @@ func (c *Controller) offload(cr *configuredRegion, machine *sim.Machine, hier *m
 	}
 
 	// Control returns to the CPU at the loop's fall-through address.
-	machine.PC = cr.region.End
+	machine.PC = rr.Region.End
 	return nil
 }
 

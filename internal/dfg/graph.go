@@ -95,9 +95,6 @@ type Node struct {
 	Fwd bool
 }
 
-// HasSrc reports whether operand slot k is fed by another node.
-func (n *Node) HasSrc(k int) bool { return n.Src[k] != None }
-
 // Parents appends all dependency edges entering n to dst and returns it.
 func (n *Node) Parents(dst []Edge) []Edge {
 	for k := 0; k < 3; k++ {

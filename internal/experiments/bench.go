@@ -8,10 +8,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"mesa/internal/accel"
-	"mesa/internal/cpu"
-	"mesa/internal/kernels"
 )
 
 // BenchSchemaVersion identifies the benchmark-snapshot layout. Readers
@@ -50,52 +46,20 @@ func (s *BenchSnapshot) Metric(name string) (BenchMetric, bool) {
 	return BenchMetric{}, false
 }
 
-// CollectBench measures the suite's headline numbers: every kernel on the
+// CollectBench assembles the suite's headline numbers from the records of
+// two experiments and runs no simulation except through them. The kernel.*
+// and fig11.* metrics are Figure 11's rows and geomeans: every kernel on the
 // single-core and 16-core CPU baselines and on the M-128 and M-512 MESA
-// backends. Per-kernel tasks are independent seeded simulations fanned out
-// over the sweep worker pool and reduced in kernel order, so the metric list
-// is byte-identical for any worker count. WallSeconds is left zero for the
-// caller to stamp.
+// backends. The mappers.* metrics are the mapper-strategy ablation's cells and
+// its improved-kernel count. Both experiments reduce in kernel order and the
+// metric list is sorted by name, so it is byte-identical for any worker count.
+// WallSeconds is left zero for the caller to stamp.
 func CollectBench() (*BenchSnapshot, error) {
-	return collectBenchKernels(kernels.All())
-}
-
-// benchKernel is the per-kernel raw material for the snapshot metrics.
-type benchKernel struct {
-	name                   string
-	cpu1, cpu16            float64
-	cpu16Energy, cpuEnergy float64 // 16-core and single-core energy
-	m128, m512             *MESARun
-}
-
-func collectBenchKernels(ks []*kernels.Kernel) (*BenchSnapshot, error) {
-	rows, err := runAll(len(ks), func(i int) (benchKernel, error) {
-		k := ks[i]
-		mc := cpu.DefaultMulticore()
-		single, err := TimeSingleCore(k, mc.Core)
-		if err != nil {
-			return benchKernel{}, err
-		}
-		cpuPerIter := single.Cycles / float64(k.N)
-		multi, err := TimeMulticore(k, mc)
-		if err != nil {
-			return benchKernel{}, err
-		}
-		m128, err := RunMESA(k, accel.M128(), cpuPerIter, MESAOptions{})
-		if err != nil {
-			return benchKernel{}, err
-		}
-		m512, err := RunMESA(k, accel.M512(), cpuPerIter, MESAOptions{})
-		if err != nil {
-			return benchKernel{}, err
-		}
-		return benchKernel{
-			name: k.Name,
-			cpu1: single.Cycles, cpu16: multi.Cycles,
-			cpu16Energy: multi.EnergyNJ, cpuEnergy: single.EnergyNJ,
-			m128: m128, m512: m512,
-		}, nil
-	})
+	fig, err := Figure11()
+	if err != nil {
+		return nil, err
+	}
+	maps, err := Mappers()
 	if err != nil {
 		return nil, err
 	}
@@ -108,69 +72,42 @@ func collectBenchKernels(ks []*kernels.Kernel) (*BenchSnapshot, error) {
 		s.Metrics = append(s.Metrics, BenchMetric{Name: name, Value: v, HigherIsBetter: true})
 	}
 
-	var sp128, sp512, ee128, ee512 []float64
-	for _, r := range rows {
-		prefix := "kernel." + r.name
-		lower(prefix+".cpu1_cycles", r.cpu1)
-		lower(prefix+".cpu16_cycles", r.cpu16)
+	for _, r := range fig.Rows {
+		prefix := "kernel." + r.Kernel
+		lower(prefix+".cpu1_cycles", r.cpu1Cycles)
+		lower(prefix+".cpu16_cycles", r.CPUCycles)
 		for _, m := range []struct {
-			tag string
-			run *MESARun
-		}{{"m128", r.m128}, {"m512", r.m512}} {
+			tag          string
+			run          *MESARun
+			speedup, eff float64
+		}{
+			{"m128", r.m128, r.M128Speedup, r.M128EnergyEff},
+			{"m512", r.m512, r.M512Speedup, r.M512EnergyEff},
+		} {
 			p := prefix + "." + m.tag
 			lower(p+".total_cycles", m.run.TotalCycles)
 			lower(p+".accel_cycles", m.run.AccelCycles)
 			lower(p+".config_cycles", m.run.OverheadCycles)
-			higher(p+".speedup", r.cpu16/m.run.TotalCycles)
-			// Energy efficiency vs the 16-core baseline; a kernel that never
-			// qualified stays on one core (fig11's convention).
-			eff := r.cpu16Energy / r.cpuEnergy
-			if m.run.Qualified {
-				eff = r.cpu16Energy / m.run.EnergyNJ
-			}
-			higher(p+".energy_eff", eff)
+			higher(p+".speedup", m.speedup)
+			higher(p+".energy_eff", m.eff)
 		}
-		sp128 = append(sp128, r.cpu16/r.m128.TotalCycles)
-		sp512 = append(sp512, r.cpu16/r.m512.TotalCycles)
-		effOf := func(run *MESARun) float64 {
-			if run.Qualified {
-				return r.cpu16Energy / run.EnergyNJ
-			}
-			return r.cpu16Energy / r.cpuEnergy
-		}
-		ee128 = append(ee128, effOf(r.m128))
-		ee512 = append(ee512, effOf(r.m512))
 	}
-	higher("fig11.geomean_speedup_m128", geomean(sp128))
-	higher("fig11.geomean_speedup_m512", geomean(sp512))
-	higher("fig11.geomean_energy_eff_m128", geomean(ee128))
-	higher("fig11.geomean_energy_eff_m512", geomean(ee512))
+	higher("fig11.geomean_speedup_m128", fig.GeomeanSpeedupM128)
+	higher("fig11.geomean_speedup_m512", fig.GeomeanSpeedupM512)
+	higher("fig11.geomean_energy_eff_m128", fig.GeomeanEnergyM128)
+	higher("fig11.geomean_energy_eff_m512", fig.GeomeanEnergyM512)
 
-	// Mapper-strategy ablation metrics: per-kernel analytic II and measured
+	// Mapper-strategy ablation: per-kernel analytic II and measured
 	// per-iteration cost for every placement strategy, plus the count of
-	// kernels a refinement strategy strictly improves. Shares the memoized
-	// mappersRow simulations with the rendered `mappers` experiment.
-	mapRows, err := runAll(len(ks), func(i int) (MappersRow, error) {
-		return mappersRow(ks[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	improved := 0
-	for _, row := range mapRows {
-		if !row.OK {
-			continue
-		}
-		if row.Improved {
-			improved++
-		}
+	// kernels a refinement strategy strictly improves.
+	for _, row := range maps.Rows {
 		for _, c := range row.Cells {
 			p := "mappers." + row.Kernel + "." + MapperTag(c.Strategy)
 			lower(p+".predicted_ii", c.PredictedII)
 			lower(p+".measured_iter", c.MeasuredIter)
 		}
 	}
-	higher("mappers.improved_kernels", float64(improved))
+	higher("mappers.improved_kernels", float64(maps.ImprovedKernels))
 
 	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
 	return s, nil

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"mesa/internal/accel"
 	"mesa/internal/kernels"
+	"mesa/internal/mapping"
 )
 
 func kernelNames() []string { return kernels.Names() }
@@ -109,6 +111,51 @@ func TestFigure11Shape(t *testing.T) {
 		}
 	}
 	t.Log("\n" + r.Render())
+}
+
+// TestReconfigureRevert covers the controller's revert-on-regression path
+// end to end: srad on M-128 under the greedy mapper adopts one remap, measures
+// it worse in the next counter window, and rolls back. Both adoptions are
+// charged as reconfigurations, and the region finishes on the placement it
+// started with.
+func TestReconfigureRevert(t *testing.T) {
+	k := kernels.SRAD()
+	run, err := RunMESA(k, accel.M128(), 1, MESAOptions{Mapper: mapping.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run.Qualified {
+		t.Fatal("srad not accelerated on M-128")
+	}
+	rr := run.Region
+	type flags struct{ reconfigured, reverted bool }
+	var got []flags
+	for _, r := range rr.Rounds {
+		got = append(got, flags{r.Reconfigured, r.Reverted})
+	}
+	want := []flags{{false, false}, {true, false}, {false, true}, {false, false}}
+	if len(got) != len(want) {
+		t.Fatalf("rounds (reconfigured, reverted) = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rounds (reconfigured, reverted) = %v, want %v", got, want)
+		}
+	}
+	if rr.Reconfigs != 2 {
+		t.Errorf("Reconfigs = %d, want 2 (the remap and its revert)", rr.Reconfigs)
+	}
+
+	initial, err := RunMESA(k, accel.M128(), 1, MESAOptions{Mapper: mapping.Default(), DisableOptimization: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !initial.Qualified {
+		t.Fatal("srad not accelerated on M-128 without optimization")
+	}
+	if rr.SDFG.DiffersFrom(initial.Region.SDFG) {
+		t.Error("after the revert the region's placement differs from its initial one")
+	}
 }
 
 func TestFigure12Shape(t *testing.T) {

@@ -24,6 +24,11 @@ type Figure11Row struct {
 
 	M128Qualified bool
 	M512Qualified bool
+
+	// The runs the row was derived from, kept for CollectBench's per-kernel
+	// cycle metrics (unexported, so the figure's JSON is unchanged).
+	cpu1Cycles float64 // single-core baseline
+	m128, m512 *MESARun
 }
 
 // Figure11Result reproduces Figure 11: normalized performance and energy
@@ -74,33 +79,37 @@ func Figure11() (*Figure11Result, error) {
 		if err != nil {
 			return Figure11Row{}, err
 		}
-		row := Figure11Row{
+		// Energy efficiency vs the 16-core baseline; a kernel that never
+		// qualified stays on one core.
+		energyEff := func(run *MESARun) float64 {
+			if run.Qualified {
+				return multi.EnergyNJ / run.EnergyNJ
+			}
+			return multi.EnergyNJ / single.EnergyNJ
+		}
+		return Figure11Row{
 			Kernel:        k.Name,
 			CPUCycles:     multi.Cycles,
 			CPUEnergy:     multi.EnergyNJ,
+			M128Speedup:   multi.Cycles / m128.TotalCycles,
+			M512Speedup:   multi.Cycles / m512.TotalCycles,
+			M128EnergyEff: energyEff(m128),
+			M512EnergyEff: energyEff(m512),
 			M128Qualified: m128.Qualified,
 			M512Qualified: m512.Qualified,
-		}
-		row.M128Speedup = multi.Cycles / m128.TotalCycles
-		row.M512Speedup = multi.Cycles / m512.TotalCycles
-		if m128.Qualified {
-			row.M128EnergyEff = multi.EnergyNJ / m128.EnergyNJ
-		} else {
-			row.M128EnergyEff = multi.EnergyNJ / single.EnergyNJ
-		}
-		if m512.Qualified {
-			row.M512EnergyEff = multi.EnergyNJ / m512.EnergyNJ
-		} else {
-			row.M512EnergyEff = multi.EnergyNJ / single.EnergyNJ
-		}
-		return row, nil
+			cpu1Cycles:    single.Cycles,
+			m128:          m128,
+			m512:          m512,
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var sp128, sp512, ee128, ee512 []float64
+	res.Rows = rows
+	n := len(rows)
+	sp128, sp512 := make([]float64, 0, n), make([]float64, 0, n)
+	ee128, ee512 := make([]float64, 0, n), make([]float64, 0, n)
 	for _, row := range rows {
-		res.Rows = append(res.Rows, row)
 		sp128 = append(sp128, row.M128Speedup)
 		sp512 = append(sp512, row.M512Speedup)
 		ee128 = append(ee128, row.M128EnergyEff)

@@ -123,8 +123,8 @@ func Mappers() (*MappersResult, error) {
 	return res, nil
 }
 
-// mappersRow memoizes one kernel's three-strategy comparison (CollectBench
-// and the rendered ablation share the simulations).
+// mappersRow memoizes one kernel's strategy comparison, so the rendered
+// ablation and CollectBench, which both call Mappers, share the simulations.
 func mappersRow(k *kernels.Kernel) (MappersRow, error) {
 	v, err := memoDo("mappers", k, func(b []byte) []byte {
 		b = fmt.Appendf(accel.M128().AppendFingerprint(b), "|mappers|iters%d|", mapperMeasureIters)

@@ -106,13 +106,6 @@ func SetSimMemoCapacity(n int) int {
 	return prev
 }
 
-// SimMemoCapacity returns the current LRU capacity (0 = unbounded).
-func SimMemoCapacity() int {
-	simMemo.mu.Lock()
-	defer simMemo.mu.Unlock()
-	return simMemo.cap
-}
-
 // ResetSimMemo drops all cached results and zeroes every counter (tests,
 // and cold/warm differential comparisons).
 func ResetSimMemo() {

@@ -2,7 +2,6 @@ package genkern
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mesa/internal/accel"
@@ -156,12 +155,4 @@ func diffState(ref, got *sim.Machine) string {
 		}
 	}
 	return strings.Join(parts, "; ")
-}
-
-// SortedEngineNames returns the engine names of a report in sorted order,
-// for deterministic summaries.
-func (r *CheckReport) SortedEngineNames() []string {
-	names := append([]string(nil), r.Engines...)
-	sort.Strings(names)
-	return names
 }

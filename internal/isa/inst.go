@@ -39,9 +39,6 @@ func (in Inst) IsBranch() bool { return in.Op.Class() == ClassBranch }
 // IsJump reports whether the instruction is an unconditional jump.
 func (in Inst) IsJump() bool { return in.Op.Class() == ClassJump }
 
-// IsControl reports whether the instruction can redirect the PC.
-func (in Inst) IsControl() bool { return in.IsBranch() || in.IsJump() }
-
 // IsSystem reports whether the instruction is a system instruction, which
 // disqualifies a loop from acceleration under criterion C2.
 func (in Inst) IsSystem() bool { return in.Op.Class() == ClassSystem }
@@ -60,11 +57,11 @@ func (in Inst) IsBackwardBranch() bool {
 }
 
 // Dest returns the destination register and whether the instruction writes
-// one. Writes to x0 are discarded by the architecture and reported as no
-// destination. System instructions report none, csrr* included, although
-// the functional simulator writes their rd (as zero).
+// one, as the op table records it: csrrw/csrrs/csrrc write rd like any other
+// op. Writes to x0 are discarded by the architecture and reported as no
+// destination.
 func (in Inst) Dest() (Reg, bool) {
-	if in.Op.info().regs[0] == '-' || in.IsSystem() || in.Rd == RegNone || in.Rd == X0 {
+	if in.Op.info().regs[0] == '-' || in.Rd == RegNone || in.Rd == X0 {
 		return RegNone, false
 	}
 	return in.Rd, true

@@ -176,6 +176,16 @@ func TestSourcesAndDest(t *testing.T) {
 		t.Errorf("addi must not read rs2, got %v", s[1])
 	}
 
+	// CSR ops write rd: the simulator writes it, so a later reader depends
+	// on the CSR op. Other system ops write nothing.
+	csrrw := Inst{Op: OpCSRRW, Rd: X5, Rs1: X6, Rs2: RegNone, Rs3: RegNone, Imm: 0x300}
+	if rd, ok := csrrw.Dest(); !ok || rd != X5 {
+		t.Errorf("csrrw x5, x6, 0x300 dest = %v %v, want x5", rd, ok)
+	}
+	if _, ok := (Inst{Op: OpECALL, Rd: RegNone, Rs1: RegNone, Rs2: RegNone, Rs3: RegNone}).Dest(); ok {
+		t.Error("ecall should have no destination")
+	}
+
 	// Stores read rs1 (base) and rs2 (data) but write nothing.
 	sw := Inst{Op: OpSW, Rd: RegNone, Rs1: X6, Rs2: X7, Rs3: RegNone}
 	if s := sw.Sources(); s != [3]Reg{X6, X7, RegNone} {

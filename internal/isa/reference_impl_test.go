@@ -561,9 +561,14 @@ func refHasImm(o Op) bool {
 }
 
 func refDest(in Inst) (Reg, bool) {
-	switch refClass(in.Op) {
-	case ClassStore, ClassBranch, ClassSystem, ClassInvalid:
-		return RegNone, false
+	switch in.Op {
+	case OpCSRRW, OpCSRRS, OpCSRRC:
+		// The CSR ops write rd (the functional simulator writes zero).
+	default:
+		switch refClass(in.Op) {
+		case ClassStore, ClassBranch, ClassSystem, ClassInvalid:
+			return RegNone, false
+		}
 	}
 	if in.Op == OpNOP || in.Rd == RegNone || in.Rd == X0 {
 		return RegNone, false

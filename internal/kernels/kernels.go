@@ -179,13 +179,6 @@ func (k *Kernel) Verify(m *mem.Memory) error {
 	return k.verify(m, 0, k.N)
 }
 
-// VerifyRange checks outputs for iterations [lo, hi).
-func (k *Kernel) VerifyRange(m *mem.Memory, lo, hi int) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.verify(m, lo, hi)
-}
-
 // All returns every kernel in the suite, in the order the figures report
 // them.
 func All() []*Kernel {

@@ -181,20 +181,6 @@ func AccessBytes(op isa.Op) uint32 {
 	return 4
 }
 
-// WriteBytes copies a byte slice into memory at addr.
-func (m *Memory) WriteBytes(addr uint32, data []byte) {
-	for i, b := range data {
-		m.StoreByte(addr+uint32(i), b)
-	}
-}
-
-// WriteWords copies 32-bit words into memory at addr.
-func (m *Memory) WriteWords(addr uint32, words []uint32) {
-	for i, w := range words {
-		m.StoreWord(addr+uint32(4*i), w)
-	}
-}
-
 // WriteF32s copies float32 values into memory at addr.
 func (m *Memory) WriteF32s(addr uint32, vals []float32) {
 	for i, f := range vals {
@@ -207,15 +193,6 @@ func (m *Memory) ReadF32s(addr uint32, n int) []float32 {
 	out := make([]float32, n)
 	for i := range out {
 		out[i] = m.LoadF32(addr + uint32(4*i))
-	}
-	return out
-}
-
-// ReadWords reads n 32-bit words starting at addr.
-func (m *Memory) ReadWords(addr uint32, n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = m.LoadWord(addr + uint32(4*i))
 	}
 	return out
 }
