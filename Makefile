@@ -1,12 +1,14 @@
 # Pre-merge checks for the MESA reproduction.
 #
 #   make ci          # everything a PR must pass: fmt + vet + lint + test + test-race +
-#                    # bench-module + fuzz-smoke + mesad-smoke + bench-check + bench-mappers
+#                    # bench-module + examples + fuzz-smoke + mesad-smoke + bench-check +
+#                    # bench-mappers
 #   make fmt         # every Go file is gofmt-clean (lists the offenders)
 #   make bench-module # vet + test (plain and -race) the benchmark harness in bench/ (its own Go module)
 #   make lint        # staticcheck (pinned version; skipped with a notice when unavailable offline)
 #   make test        # tier-1: go build + go test
 #   make test-race   # the sweep fan-out must be race-clean
+#   make examples    # run every examples/* program (each verifies its own outputs)
 #   make fuzz-smoke  # 10s of each Go fuzz target (differential, FP spec, ISA round-trip, disassembly round-trip, mesad request decode)
 #   make mesad-smoke # mesad end-to-end self-test: serve, load-generate, scrape /metrics
 #   make bench       # run every package's Go benchmarks once with -benchmem (allocation counts)
@@ -26,9 +28,9 @@ BENCH_TOL ?= 0
 # Pinned so every machine lints with the same rule set; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: ci fmt build vet lint test test-race fuzz-smoke mesad-smoke bench bench-module bench-json bench-check bench-baseline bench-attrib bench-mappers
+.PHONY: ci fmt build vet lint test test-race examples fuzz-smoke mesad-smoke bench bench-module bench-json bench-check bench-baseline bench-attrib bench-mappers
 
-ci: fmt vet lint test test-race bench-module fuzz-smoke mesad-smoke bench-check bench-mappers
+ci: fmt vet lint test test-race bench-module examples fuzz-smoke mesad-smoke bench-check bench-mappers
 
 # Prefer a staticcheck already on PATH (matching any version is better than
 # nothing), else fetch the pinned version via `go run`. Offline sandboxes
@@ -64,6 +66,15 @@ test-race:
 # internal packages, so API changes must keep it building and race-clean.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) test -race ./...
+
+# The library examples verify their outputs with seeds 1, 7 and 9, which no
+# sweep uses; `go test` only compiles them, so run each one. Their stdout is
+# dropped; a failure exits non-zero with its message on stderr.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # Bounded runs of every native fuzz target. The committed corpora replay in
 # plain `make test`; this additionally explores new inputs for a few seconds

@@ -204,7 +204,7 @@ func run(w io.Writer, name string, o options) error {
 	if _, err := refMachine.Run(experiments.MaxSteps); err != nil {
 		return fmt.Errorf("functional run: %w", err)
 	}
-	if err := k.Verify(refMem); err != nil {
+	if err := k.Verify(refMem, experiments.Seed); err != nil {
 		return fmt.Errorf("functional verification: %w", err)
 	}
 	fmt.Fprintf(w, "functional: %d instructions retired, output verified\n", refMachine.Stats.Retired)
@@ -272,7 +272,7 @@ func run(w io.Writer, name string, o options) error {
 	if !refMem.Equal(accelMem) {
 		return fmt.Errorf("accelerated run diverged from reference memory")
 	}
-	if err := k.Verify(accelMem); err != nil {
+	if err := k.Verify(accelMem, experiments.Seed); err != nil {
 		return fmt.Errorf("accelerated verification: %w", err)
 	}
 

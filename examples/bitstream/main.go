@@ -77,7 +77,7 @@ func main() {
 	if _, err := machine.Run(1_000_000); err != nil {
 		log.Fatal(err)
 	}
-	if err := k.Verify(memory); err != nil {
+	if err := k.Verify(memory, 9); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("reloaded accelerator ran %d iterations (%.1f cycles each); output verified\n",

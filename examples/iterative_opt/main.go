@@ -121,7 +121,7 @@ func main() {
 	if _, err := machine.Run(1_000_000); err != nil {
 		log.Fatal(err)
 	}
-	if err := k.Verify(memory); err != nil {
+	if err := k.Verify(memory, 7); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("kernel output verified after iterative optimization")

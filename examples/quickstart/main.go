@@ -67,7 +67,7 @@ func main() {
 	if !cpuMem.Equal(mesaMem) {
 		log.Fatal("MISMATCH between CPU and MESA memory state")
 	}
-	if err := k.Verify(mesaMem); err != nil {
+	if err := k.Verify(mesaMem, 1); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("outputs verified: CPU and accelerator agree bit-for-bit")

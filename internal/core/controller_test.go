@@ -61,7 +61,7 @@ func TestControllerEndToEndAllKernels(t *testing.T) {
 				diff := refMem.Diff(accelMem, 8)
 				t.Fatalf("memory mismatch at addresses %#x", diff)
 			}
-			if err := k.Verify(accelMem); err != nil {
+			if err := k.Verify(accelMem, 42); err != nil {
 				t.Fatal(err)
 			}
 
@@ -109,7 +109,7 @@ func TestControllerM64RejectsSRAD(t *testing.T) {
 	if len(report.Regions) != 0 {
 		t.Fatalf("srad should not qualify on M-64 (got %d regions)", len(report.Regions))
 	}
-	if err := k.Verify(m); err != nil {
+	if err := k.Verify(m, 42); err != nil {
 		t.Fatalf("CPU fallback produced wrong results: %v", err)
 	}
 }
@@ -138,7 +138,7 @@ func TestControllerM64SRADRejectionReason(t *testing.T) {
 	if !maps.Equal(report.Rejections, want) {
 		t.Errorf("rejections = %v, want %v", report.Rejections, want)
 	}
-	if err := k.Verify(m); err != nil {
+	if err := k.Verify(m, 42); err != nil {
 		t.Fatalf("CPU fallback produced wrong results: %v", err)
 	}
 }
@@ -183,7 +183,7 @@ func TestControllerConfigCacheHit(t *testing.T) {
 	if got, want := hit.ConfigCost.ConfigWrite, miss.Regions[0].ConfigCost.ConfigWrite; got != want {
 		t.Errorf("hit config write %d cycles, miss %d", got, want)
 	}
-	if err := k.Verify(m2); err != nil {
+	if err := k.Verify(m2, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -216,7 +216,7 @@ func TestControllerIterativeOptimization(t *testing.T) {
 	if len(rr.Rounds) < 2 {
 		t.Fatalf("expected multiple optimization rounds, got %d", len(rr.Rounds))
 	}
-	if err := k.Verify(m); err != nil {
+	if err := k.Verify(m, 42); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -68,7 +68,7 @@ func TestObservabilityDifferential(t *testing.T) {
 					t.Fatalf("%s run memory diverged from reference at %#x",
 						o.name, refMem.Diff(o.mem, 8))
 				}
-				if err := k.Verify(o.mem); err != nil {
+				if err := k.Verify(o.mem, 42); err != nil {
 					t.Fatalf("%s run: %v", o.name, err)
 				}
 				for r := range refMachine.Regs {

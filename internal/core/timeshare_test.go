@@ -54,7 +54,7 @@ func TestTimeShareMapsSRADOnM64(t *testing.T) {
 	if rr.Iterations == 0 {
 		t.Fatal("no iterations accelerated")
 	}
-	if err := k.Verify(m); err != nil {
+	if err := k.Verify(m, 42); err != nil {
 		t.Fatalf("time-shared execution produced wrong results: %v", err)
 	}
 

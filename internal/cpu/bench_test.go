@@ -17,7 +17,10 @@ func (l *eventLog) Trace(ev sim.Event) { *l = append(*l, ev) }
 // retired instruction of Hotspot (integer, FP, load, store and branch
 // classes) into a core over the default hierarchy.
 func BenchmarkCoreTrace(b *testing.B) {
-	k := kernels.Hotspot()
+	k, err := kernels.ByName("hotspot")
+	if err != nil {
+		b.Fatal(err)
+	}
 	prog, _ := k.MustProgram()
 	var log eventLog
 	machine := sim.New(prog, k.NewMemory(42))

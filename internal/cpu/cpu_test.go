@@ -190,7 +190,7 @@ func TestKernelsRunUnderTimingModel(t *testing.T) {
 			if res.IPC <= 0.05 || res.IPC > float64(cfg.IssueWidth) {
 				t.Errorf("%s IPC = %.2f out of range", k.Name, res.IPC)
 			}
-			if err := k.Verify(m); err != nil {
+			if err := k.Verify(m, 42); err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("%s: %.0f cycles, IPC %.2f, AMAT %.1f", k.Name, res.Cycles, res.IPC, res.AMAT)
@@ -206,7 +206,10 @@ func TestTimeParallelScales(t *testing.T) {
 	}
 	mc := DefaultMulticore()
 	par, err := TimeParallel(mc, func(chunk, cores int) (*Result, error) {
-		prog, _ := k.MustChunkProgram(chunk, cores)
+		prog, _, err := k.ChunkProgram(chunk, cores)
+		if err != nil {
+			return nil, err
+		}
 		hier := mem.MustHierarchy(mem.DefaultHierarchy())
 		return Time(mc.Core, prog, k.NewMemory(42), hier, 20_000_000)
 	})

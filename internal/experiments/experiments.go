@@ -199,7 +199,7 @@ func runMESAUncached(k *kernels.Kernel, be *accel.Config, prog *isa.Program, opt
 	if err != nil {
 		return nil, fmt.Errorf("%s on %s: %w", k.Name, be.Name, err)
 	}
-	if err := k.Verify(m); err != nil {
+	if err := k.Verify(m, Seed); err != nil {
 		return nil, fmt.Errorf("%s on %s: verification failed: %w", k.Name, be.Name, err)
 	}
 	return report, nil

@@ -119,7 +119,10 @@ func TestFigure11Shape(t *testing.T) {
 // charged as reconfigurations, and the region finishes on the placement it
 // started with.
 func TestReconfigureRevert(t *testing.T) {
-	k := kernels.SRAD()
+	k, err := kernels.ByName("srad")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run, err := RunMESA(k, accel.M128(), 1, MESAOptions{Mapper: mapping.Default()})
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,10 @@ import (
 	"mesa/internal/mem"
 )
 
-// Gaussian is the elimination update of Rodinia's gaussian: for each column
+// gaussian is the elimination update of Rodinia's gaussian: for each column
 // j of the working row, a[j] -= ratio[i] * b[j], with the ratio loaded per
 // element (the multiplier column).
-func Gaussian() *Kernel {
+func gaussian() *Kernel {
 	const n = 8192
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
 		b := asm.NewBuilder(CodeBase)
@@ -34,27 +34,29 @@ func Gaussian() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
-	var a []float32
+	// draw is one element's initial a, pivot-row value and ratio, in
+	// generator order.
+	draw := func(rng *rand.Rand) (a, bv, r float32) {
+		a = rng.Float32() * 8
+		bv = rng.Float32() * 8
+		r = rng.Float32()
+		return a, bv, r
+	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
-		a = make([]float32, n)
 		for i := 0; i < n; i++ {
-			a[i] = rng.Float32() * 8
-			m.StoreF32(ArrA+4*uint32(i), a[i])
-			m.StoreF32(ArrB+4*uint32(i), rng.Float32()*8)
-			m.StoreF32(ArrC+4*uint32(i), rng.Float32())
+			a, bv, r := draw(rng)
+			m.StoreF32(ArrA+4*uint32(i), a)
+			m.StoreF32(ArrB+4*uint32(i), bv)
+			m.StoreF32(ArrC+4*uint32(i), r)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			bv := m.LoadF32(ArrB + 4*uint32(i))
-			r := m.LoadF32(ArrC + 4*uint32(i))
-			want := a[i] - r*bv
+	verify := func(m *mem.Memory, seed int64) error {
+		rng := newRand(seed)
+		for i := 0; i < n; i++ {
+			a, bv, r := draw(rng)
+			want := a - r*bv
 			if got := m.LoadF32(ArrA + 4*uint32(i)); !f32near(got, want) {
 				return fmt.Errorf("gaussian: a[%d] = %g, want %g", i, got, want)
 			}
@@ -67,9 +69,9 @@ func Gaussian() *Kernel {
 	}
 }
 
-// Hotspot3D is the 7-point stencil of Rodinia's hotspot3D: the thermal
+// hotspot3D is the 7-point stencil of Rodinia's hotspot3D: the thermal
 // update reads the cell and its six neighbors across three planes.
-func Hotspot3D() *Kernel {
+func hotspot3D() *Kernel {
 	const w = 32       // plane width
 	const plane = 1024 // w * w
 	const n = 4096     // interior cells
@@ -112,11 +114,7 @@ func Hotspot3D() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		m.StoreF32(Scalars, cc)
@@ -126,8 +124,8 @@ func Hotspot3D() *Kernel {
 			m.StoreF32(ArrA+4*uint32(i), 300+rng.Float32()*50)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			idx := plane + w + 1 + i
 			at := func(off int) float32 { return m.LoadF32(ArrA + 4*uint32(idx+off)) }
 			inPlane := (at(-1) + at(1)) + (at(-w) + at(w))
@@ -147,10 +145,10 @@ func Hotspot3D() *Kernel {
 	}
 }
 
-// LavaMD is the pairwise-force inner loop of Rodinia's lavaMD: the inverse-
+// lavaMD is the pairwise-force inner loop of Rodinia's lavaMD: the inverse-
 // square interaction between a particle and a neighbor, accumulated into a
 // force component.
-func LavaMD() *Kernel {
+func lavaMD() *Kernel {
 	const n = 4096
 	const eps = float32(0.5)
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
@@ -190,11 +188,7 @@ func LavaMD() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	px, py, pz := float32(1.5), float32(-0.5), float32(2.0)
 	setup := func(m *mem.Memory, rng *rand.Rand) {
@@ -209,8 +203,8 @@ func LavaMD() *Kernel {
 			m.StoreF32(ArrD+4*uint32(i), rng.Float32())
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			dx := m.LoadF32(ArrA+4*uint32(i)) - px
 			dy := m.LoadF32(ArrB+4*uint32(i)) - py
 			dz := m.LoadF32(ArrC+4*uint32(i)) - pz
@@ -233,10 +227,10 @@ func LavaMD() *Kernel {
 	}
 }
 
-// Myocyte is the per-cell ODE step of Rodinia's myocyte: a cubic polynomial
+// myocyte is the per-cell ODE step of Rodinia's myocyte: a cubic polynomial
 // rate evaluated by a Horner chain and integrated with forward Euler. The
 // long FP dependence chain inside each iteration makes it latency-bound.
-func Myocyte() *Kernel {
+func myocyte() *Kernel {
 	const n = 4096
 	const c3, c2, c1, c0, dt = float32(0.002), float32(-0.05), float32(0.3), float32(0.1), float32(0.01)
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
@@ -263,11 +257,7 @@ func Myocyte() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		for j, c := range []float32{c3, c2, c1, c0, dt} {
@@ -277,8 +267,8 @@ func Myocyte() *Kernel {
 			m.StoreF32(ArrA+4*uint32(i), rng.Float32()*100-50)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			v := m.LoadF32(ArrA + 4*uint32(i))
 			rate := c3*v + c2
 			rate = rate*v + c1
@@ -296,10 +286,10 @@ func Myocyte() *Kernel {
 	}
 }
 
-// ParticleFilter is the likelihood-evaluation loop of Rodinia's
+// particleFilter is the likelihood-evaluation loop of Rodinia's
 // particlefilter: a gather through an index array into a likelihood table,
 // scaled by the particle's weight.
-func ParticleFilter() *Kernel {
+func particleFilter() *Kernel {
 	const n = 4096
 	const table = 256
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
@@ -324,11 +314,7 @@ func ParticleFilter() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		for i := 0; i < n; i++ {
@@ -339,8 +325,8 @@ func ParticleFilter() *Kernel {
 			m.StoreF32(ArrC+4*uint32(i), rng.Float32())
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			idx := m.LoadWord(ArrA + 4*uint32(i))
 			lv := m.LoadF32(ArrC + 4*idx)
 			w := m.LoadF32(ArrB + 4*uint32(i))

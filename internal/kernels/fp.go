@@ -12,10 +12,10 @@ import (
 
 func sqrtf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
-// NN is Rodinia's nearest-neighbor kernel: the Euclidean distance of every
+// nn is Rodinia's nearest-neighbor kernel: the Euclidean distance of every
 // record to a query point (the paper's PE-scaling case study, Figure 15 —
 // small enough to fit on 16 PEs).
-func NN() *Kernel {
+func nn() *Kernel {
 	const n = 8192
 	const qlat, qlng = float32(30.5), float32(120.25)
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
@@ -43,11 +43,7 @@ func NN() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		m.StoreF32(Scalars, qlat)
@@ -57,8 +53,8 @@ func NN() *Kernel {
 			m.StoreF32(ArrB+4*uint32(i), rng.Float32()*360)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			lat := m.LoadF32(ArrA + 4*uint32(i))
 			lng := m.LoadF32(ArrB + 4*uint32(i))
 			dx := lat - qlat
@@ -78,9 +74,9 @@ func NN() *Kernel {
 	}
 }
 
-// Kmeans is the Rodinia kmeans assignment kernel's distance computation: the
+// kmeans is the Rodinia kmeans assignment kernel's distance computation: the
 // squared distance of each 4-feature point to a centroid.
-func Kmeans() *Kernel {
+func kmeans() *Kernel {
 	const n = 8192
 	const f = 4
 	centroid := [f]float32{10.5, -3.25, 7.75, 0.5}
@@ -109,11 +105,7 @@ func Kmeans() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		for j := 0; j < f; j++ {
@@ -123,8 +115,8 @@ func Kmeans() *Kernel {
 			m.StoreF32(ArrA+4*uint32(i), rng.Float32()*20-10)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			var acc float32
 			for j := 0; j < f; j++ {
 				d := m.LoadF32(ArrA+16*uint32(i)+4*uint32(j)) - centroid[j]
@@ -146,9 +138,9 @@ func Kmeans() *Kernel {
 	}
 }
 
-// Hotspot is Rodinia's thermal stencil: each interior cell's new temperature
+// hotspot is Rodinia's thermal stencil: each interior cell's new temperature
 // from its four neighbors and the local power dissipation.
-func Hotspot() *Kernel {
+func hotspot() *Kernel {
 	const w = 64   // grid width
 	const n = 8192 // interior cells processed
 	const k1, k2 = float32(0.175), float32(0.035)
@@ -184,11 +176,7 @@ func Hotspot() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		m.StoreF32(Scalars, k1)
@@ -199,8 +187,8 @@ func Hotspot() *Kernel {
 			m.StoreF32(ArrB+4*uint32(i), rng.Float32())
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			c := m.LoadF32(ArrA + 4*uint32(w+i))
 			no := m.LoadF32(ArrA + 4*uint32(i))
 			so := m.LoadF32(ArrA + 4*uint32(2*w+i))
@@ -225,9 +213,9 @@ func Hotspot() *Kernel {
 	}
 }
 
-// CFD is the flux computation at the core of Rodinia's cfd solver
+// cfd is the flux computation at the core of Rodinia's cfd solver
 // (simplified 2D Euler flux with pressure term; division-heavy).
-func CFD() *Kernel {
+func cfd() *Kernel {
 	const n = 4096
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
 		b := asm.NewBuilder(CodeBase)
@@ -267,11 +255,7 @@ func CFD() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		m.StoreF32(Scalars, 0.5)
@@ -283,8 +267,8 @@ func CFD() *Kernel {
 			m.StoreF32(ArrD+4*uint32(i), 10+rng.Float32()*10)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			d := m.LoadF32(ArrA + 4*uint32(i))
 			mx := m.LoadF32(ArrB + 4*uint32(i))
 			my := m.LoadF32(ArrC + 4*uint32(i))
@@ -312,9 +296,9 @@ func CFD() *Kernel {
 	}
 }
 
-// Backprop is Rodinia's backprop weight-adjustment loop:
+// backprop is Rodinia's backprop weight-adjustment loop:
 // w[j] += (eta*delta) * x[j].
-func Backprop() *Kernel {
+func backprop() *Kernel {
 	const n = 8192
 	const etaDelta = float32(0.0625)
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
@@ -335,26 +319,27 @@ func Backprop() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
-	var weights []float32
+	// draw is one element's initial weight and input, in generator order.
+	draw := func(rng *rand.Rand) (w, x float32) {
+		w = rng.Float32()*2 - 1
+		x = rng.Float32()
+		return w, x
+	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		m.StoreF32(Scalars, etaDelta)
-		weights = make([]float32, n)
 		for i := 0; i < n; i++ {
-			weights[i] = rng.Float32()*2 - 1
-			m.StoreF32(ArrA+4*uint32(i), weights[i])
-			m.StoreF32(ArrB+4*uint32(i), rng.Float32())
+			w, x := draw(rng)
+			m.StoreF32(ArrA+4*uint32(i), w)
+			m.StoreF32(ArrB+4*uint32(i), x)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			x := m.LoadF32(ArrB + 4*uint32(i))
-			want := x*etaDelta + weights[i]
+	verify := func(m *mem.Memory, seed int64) error {
+		rng := newRand(seed)
+		for i := 0; i < n; i++ {
+			w, x := draw(rng)
+			want := x*etaDelta + w
 			if got := m.LoadF32(ArrA + 4*uint32(i)); !f32near(got, want) {
 				return fmt.Errorf("backprop: w[%d] = %g, want %g", i, got, want)
 			}
@@ -367,9 +352,9 @@ func Backprop() *Kernel {
 	}
 }
 
-// LUD is the update loop of Rodinia's LU decomposition:
+// lud is the update loop of Rodinia's LU decomposition:
 // a[j] -= pivot * row[j].
-func LUD() *Kernel {
+func lud() *Kernel {
 	const n = 8192
 	const pivot = float32(0.375)
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
@@ -390,28 +375,29 @@ func LUD() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
-	var a []float32
+	// draw is one element's initial a and row value, in generator order.
+	draw := func(rng *rand.Rand) (a, r float32) {
+		a = rng.Float32() * 8
+		r = rng.Float32() * 8
+		return a, r
+	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		m.StoreF32(Scalars, pivot)
-		a = make([]float32, n)
 		for i := 0; i < n; i++ {
-			a[i] = rng.Float32() * 8
-			m.StoreF32(ArrA+4*uint32(i), a[i])
-			m.StoreF32(ArrB+4*uint32(i), rng.Float32()*8)
+			a, r := draw(rng)
+			m.StoreF32(ArrA+4*uint32(i), a)
+			m.StoreF32(ArrB+4*uint32(i), r)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			r := m.LoadF32(ArrB + 4*uint32(i))
+	verify := func(m *mem.Memory, seed int64) error {
+		rng := newRand(seed)
+		for i := 0; i < n; i++ {
+			a, r := draw(rng)
 			// FNMSUB is fused: a - p·r cancels catastrophically, so an
 			// unfused float32 recomputation lands outside f32near here.
-			want := float32(math.FMA(-float64(r), float64(pivot), float64(a[i])))
+			want := float32(math.FMA(-float64(r), float64(pivot), float64(a)))
 			if got := m.LoadF32(ArrA + 4*uint32(i)); !f32near(got, want) {
 				return fmt.Errorf("lud: a[%d] = %g, want %g", i, got, want)
 			}
@@ -424,9 +410,9 @@ func LUD() *Kernel {
 	}
 }
 
-// Streamcluster is the weighted distance kernel of Rodinia's streamcluster:
+// streamcluster is the weighted distance kernel of Rodinia's streamcluster:
 // out[i] = w[i] * ((x[i]-cx)^2 + (y[i]-cy)^2).
-func Streamcluster() *Kernel {
+func streamcluster() *Kernel {
 	const n = 8192
 	const cx, cy = float32(1.5), float32(-2.5)
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
@@ -457,11 +443,7 @@ func Streamcluster() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		m.StoreF32(Scalars, cx)
@@ -472,8 +454,8 @@ func Streamcluster() *Kernel {
 			m.StoreF32(ArrC+4*uint32(i), rng.Float32()+0.5)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			x := m.LoadF32(ArrA+4*uint32(i)) - cx
 			y := m.LoadF32(ArrB+4*uint32(i)) - cy
 			w := m.LoadF32(ArrC + 4*uint32(i))

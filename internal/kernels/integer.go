@@ -9,10 +9,10 @@ import (
 	"mesa/internal/mem"
 )
 
-// Pathfinder is Rodinia's dynamic-programming row update:
+// pathfinder is Rodinia's dynamic-programming row update:
 // dst[i] = src[i] + min(prev[i-1], prev[i], prev[i+1]),
 // with the min computed through predicated forward branches.
-func Pathfinder() *Kernel {
+func pathfinder() *Kernel {
 	const n = 8192
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
 		b := asm.NewBuilder(CodeBase)
@@ -41,11 +41,7 @@ func Pathfinder() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		for i := 0; i < n+2; i++ {
@@ -53,8 +49,8 @@ func Pathfinder() *Kernel {
 			m.StoreWord(ArrB+4*uint32(i), uint32(rng.Intn(10)))
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			p0 := int32(m.LoadWord(ArrA + 4*uint32(i)))
 			p1 := int32(m.LoadWord(ArrA + 4*uint32(i+1)))
 			p2 := int32(m.LoadWord(ArrA + 4*uint32(i+2)))
@@ -78,11 +74,11 @@ func Pathfinder() *Kernel {
 	}
 }
 
-// BFS is Rodinia's breadth-first search, edge-centric: relax each edge of
+// bfs is Rodinia's breadth-first search, edge-centric: relax each edge of
 // the frontier. Iterations carry dependencies through the visited array and
 // the control flow is data-dependent, so the loop is not annotated parallel
 // — the memory/control-heavy benchmark that holds back Figure 11's average.
-func BFS() *Kernel {
+func bfs() *Kernel {
 	const nodes = 1024
 	const n = 8192 // edges
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
@@ -119,11 +115,7 @@ func BFS() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		for i := 0; i < n; i++ {
@@ -139,15 +131,15 @@ func BFS() *Kernel {
 			m.StoreWord(ArrD+4*uint32(i), 0)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
+	verify := func(m *mem.Memory, _ int64) error {
 		// Recompute sequentially from pristine inputs.
 		visited := make([]uint32, nodes)
 		cost := make([]uint32, nodes)
 		visited[0] = 1
-		for i := 0; i < hi; i++ {
+		for i := 0; i < n; i++ {
 			s := m.LoadWord(ArrA + 4*uint32(i))
 			d := m.LoadWord(ArrB + 4*uint32(i))
-			if i >= lo && visited[s] == 1 && visited[d] == 0 {
+			if visited[s] == 1 && visited[d] == 0 {
 				visited[d] = 1
 				cost[d] = cost[s] + 1
 			}
@@ -168,10 +160,10 @@ func BFS() *Kernel {
 	}
 }
 
-// NW is Rodinia's Needleman-Wunsch inner loop along a row: a running
+// nw is Rodinia's Needleman-Wunsch inner loop along a row: a running
 // maximum carried in a register makes the loop serial (true loop-carried
 // dependence beyond the induction variable).
-func NW() *Kernel {
+func nw() *Kernel {
 	const n = 8192
 	build := func(lo, hi int) (*isa.Program, uint32, error) {
 		b := asm.NewBuilder(CodeBase)
@@ -202,11 +194,7 @@ func NW() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		for i := 0; i < n+2; i++ {
@@ -214,9 +202,9 @@ func NW() *Kernel {
 			m.StoreWord(ArrB+4*uint32(i), uint32(rng.Intn(10)))
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		w := int32(m.LoadWord(ArrA + 4*uint32(lo)))
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		w := int32(m.LoadWord(ArrA))
+		for i := 0; i < n; i++ {
 			nw := int32(m.LoadWord(ArrA + 4*uint32(i)))
 			nn := int32(m.LoadWord(ArrA + 4*uint32(i+1)))
 			match := int32(m.LoadWord(ArrB + 4*uint32(i)))
@@ -240,10 +228,10 @@ func NW() *Kernel {
 	}
 }
 
-// BTree is the leaf-scan of Rodinia's b+tree lookups: key comparisons with
+// btree is the leaf-scan of Rodinia's b+tree lookups: key comparisons with
 // data-dependent branches and a dependent (gather) load chain. Serial and
 // memory-latency-bound.
-func BTree() *Kernel {
+func btree() *Kernel {
 	const n = 8192
 	const vals = 1024
 	const pivot = 500
@@ -276,11 +264,7 @@ func BTree() *Kernel {
 		b.SW(isa.X20, 0, isa.X23)
 		b.SW(isa.X21, 4, isa.X23)
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		for i := 0; i < n; i++ {
@@ -291,9 +275,9 @@ func BTree() *Kernel {
 			m.StoreWord(ArrC+4*uint32(i), uint32(rng.Intn(100)))
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
+	verify := func(m *mem.Memory, _ int64) error {
 		var count, sum uint32
-		for i := lo; i < hi; i++ {
+		for i := 0; i < n; i++ {
 			if int32(m.LoadWord(ArrA+4*uint32(i))) < pivot {
 				count++
 			}

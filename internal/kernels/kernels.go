@@ -8,15 +8,21 @@
 // Every kernel carries a data generator and an output verifier computed in
 // Go with identical float32 semantics, so the functional simulator, the CPU
 // timing model's machine, and the spatial accelerator can all be checked for
-// bit-exact agreement.
+// bit-exact agreement. Verification is a pure function of the memory and the
+// seed it was generated from: a kernel that updates an input in place
+// replays the seed's generator for the values it overwrote. A Kernel thus
+// holds no state between NewMemory and Verify, and the suite is one
+// immutable table, built once and shared by every concurrent caller.
 package kernels
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
+	"mesa/internal/asm"
 	"mesa/internal/isa"
 	"mesa/internal/mem"
 )
@@ -51,19 +57,12 @@ type Kernel struct {
 	// build assembles the program executing iterations [lo, hi).
 	build func(lo, hi int) (*isa.Program, uint32, error)
 
-	// setup initializes input arrays.
+	// setup initializes input arrays, drawing from rng.
 	setup func(m *mem.Memory, rng *rand.Rand)
 
-	// verify checks outputs for iterations [lo, hi).
-	verify func(m *mem.Memory, lo, hi int) error
-
-	// mu serializes setup and verify: several kernels carry expected outputs
-	// from setup to verify in closure-captured state (e.g. backprop's weight
-	// vector), and concurrent simulations of one kernel instance (parallel
-	// sweep points, concurrent service requests) call NewMemory
-	// simultaneously. The state is a pure function of the seed, so
-	// serializing keeps every same-seed caller's view identical.
-	mu sync.Mutex
+	// verify checks the outputs of a full run on the memory setup
+	// initialized from seed.
+	verify func(m *mem.Memory, seed int64) error
 }
 
 // progKey identifies one memoized build: kernel plus iteration subrange
@@ -82,11 +81,10 @@ type progVal struct {
 	err       error
 }
 
-// progCache memoizes builds across Kernel instances (All constructs fresh
-// Kernel values on every call, so the cache is package-level and keyed by
-// name). The timing sweeps rebuild the same programs hundreds of times;
-// building each (kernel, lo, hi) once is both faster and safe to share
-// between worker goroutines.
+// progCache memoizes builds, keyed by kernel name and subrange. The timing
+// sweeps rebuild the same programs hundreds of times; building each
+// (kernel, lo, hi) once is both faster and safe to share between worker
+// goroutines.
 var progCache sync.Map // progKey -> progVal
 
 // buildCached assembles iterations [lo, hi), memoized.
@@ -102,6 +100,16 @@ func (k *Kernel) buildCached(lo, hi int) progVal {
 	}
 	v, _ := progCache.LoadOrStore(key, pv)
 	return v.(progVal)
+}
+
+// loopProgram assembles b's program and returns it with the address of its
+// "loop" label, the hot loop's start.
+func loopProgram(b *asm.Builder) (*isa.Program, uint32, error) {
+	p, err := b.Program()
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, p.Symbols["loop"], nil
 }
 
 // encodeWords returns prog's instructions as little-endian 32-bit words, or
@@ -154,44 +162,38 @@ func (k *Kernel) ChunkProgram(chunk, chunks int) (*isa.Program, uint32, error) {
 	return pv.prog, pv.loopStart, pv.err
 }
 
-// MustChunkProgram is ChunkProgram but panics on a build error.
-func (k *Kernel) MustChunkProgram(chunk, chunks int) (*isa.Program, uint32) {
-	prog, loopStart, err := k.ChunkProgram(chunk, chunks)
-	if err != nil {
-		panic(fmt.Sprintf("kernels: %s: %v", k.Name, err))
-	}
-	return prog, loopStart
-}
-
 // NewMemory returns a freshly initialized memory for the kernel.
 func (k *Kernel) NewMemory(seed int64) *mem.Memory {
 	m := mem.NewMemory()
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.setup(m, rand.New(rand.NewSource(seed)))
+	k.setup(m, newRand(seed))
 	return m
 }
 
-// Verify checks the kernel's output for the full range.
-func (k *Kernel) Verify(m *mem.Memory) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.verify(m, 0, k.N)
+// Verify checks the kernel's output in m, a memory NewMemory(seed) returned
+// and a full run of the program then updated.
+func (k *Kernel) Verify(m *mem.Memory, seed int64) error {
+	return k.verify(m, seed)
+}
+
+// newRand returns the generator setup draws a seed's inputs from; the
+// kernels that update an input in place replay it in verify.
+func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// suite is every kernel, in the order the figures report them. It is built
+// once and never modified.
+var suite = []*Kernel{
+	nn(), kmeans(), hotspot(), cfd(), backprop(), pathfinder(),
+	bfs(), srad(), lud(), nw(), streamcluster(), btree(),
+	gaussian(), hotspot3D(), lavaMD(), myocyte(), particleFilter(),
 }
 
 // All returns every kernel in the suite, in the order the figures report
-// them.
-func All() []*Kernel {
-	return []*Kernel{
-		NN(), Kmeans(), Hotspot(), CFD(), Backprop(), Pathfinder(),
-		BFS(), SRAD(), LUD(), NW(), Streamcluster(), BTree(),
-		Gaussian(), Hotspot3D(), LavaMD(), Myocyte(), ParticleFilter(),
-	}
-}
+// them. The kernels are shared and read-only; the slice is the caller's.
+func All() []*Kernel { return slices.Clone(suite) }
 
 // ByName returns the named kernel or an error.
 func ByName(name string) (*Kernel, error) {
-	for _, k := range All() {
+	for _, k := range suite {
 		if k.Name == name {
 			return k, nil
 		}
@@ -201,9 +203,8 @@ func ByName(name string) (*Kernel, error) {
 
 // Names lists the kernel names in report order.
 func Names() []string {
-	ks := All()
-	out := make([]string, len(ks))
-	for i, k := range ks {
+	out := make([]string, len(suite))
+	for i, k := range suite {
 		out[i] = k.Name
 	}
 	return out

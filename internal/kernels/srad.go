@@ -9,7 +9,7 @@ import (
 	"mesa/internal/mem"
 )
 
-// SRAD is Rodinia's speckle-reducing anisotropic diffusion kernel: for each
+// srad is Rodinia's speckle-reducing anisotropic diffusion kernel: for each
 // cell, image gradients to the four neighbors, the normalized gradient
 // magnitude and laplacian, the instantaneous coefficient of variation, and
 // the diffusion coefficient. The loop body is compiled 2-wide (the Rodinia
@@ -18,7 +18,7 @@ import (
 // PEs can host, so mapping structurally fails on M-64 (as in the paper's
 // Figure 14, where srad does not qualify there) while fitting M-128 and
 // above.
-func SRAD() *Kernel {
+func srad() *Kernel {
 	const w = 64   // grid width
 	const n = 4096 // iterations; each handles 2 cells
 	const unroll = 2
@@ -83,11 +83,7 @@ func SRAD() *Kernel {
 		b.ADDI(isa.RegT0, isa.RegT0, 1)
 		b.BLT(isa.RegT0, isa.RegT1, "loop")
 		b.ECALL()
-		p, err := b.Program()
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.Symbols["loop"], nil
+		return loopProgram(b)
 	}
 	setup := func(m *mem.Memory, rng *rand.Rand) {
 		m.StoreF32(Scalars, 0.5)
@@ -100,8 +96,8 @@ func SRAD() *Kernel {
 			m.StoreF32(ArrA+4*uint32(i), 50+rng.Float32()*200)
 		}
 	}
-	verify := func(m *mem.Memory, lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	verify := func(m *mem.Memory, _ int64) error {
+		for i := 0; i < n; i++ {
 			for u := 0; u < unroll; u++ {
 				idx := w + unroll*i + u
 				jc := m.LoadF32(ArrA + 4*uint32(idx))

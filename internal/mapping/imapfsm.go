@@ -65,17 +65,11 @@ type ImapTrace struct {
 // Invariant (tested): the trace's total equals EstimateConfigCost's
 // InstrMap component — the formula and the machine agree cycle-for-cycle.
 func SimulateImapFSM(l *LDFG, be *accel.Config, opts Options) (*ImapTrace, *SDFG, error) {
+	// The probe records each node's candidate-matrix population, the
+	// variable input to the reduce stage, during the mapping pass itself.
 	mapper := NewMapper(opts)
+	mapper.probe = make([]int, 0, l.Graph.Len())
 	sdfg, stats, err := mapper.Map(l, be)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Re-derive per-node candidate counts by replaying placement decisions:
-	// the mapper records only totals, so walk nodes in order and recompute
-	// each window against the evolving occupancy. To avoid duplicating the
-	// mapper, rerun it with a per-node probe.
-	perNode, err := mapper.candidateCounts(l, be)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -85,7 +79,7 @@ func SimulateImapFSM(l *LDFG, be *accel.Config, opts Options) (*ImapTrace, *SDFG
 		tr.Steps = append(tr.Steps, ImapStep{Node: node, State: st, Cycles: cycles})
 		tr.TotalCycles += cycles
 	}
-	for i, cand := range perNode {
+	for i, cand := range mapper.probe {
 		add(i, ImapRead, 1)
 		add(i, ImapCandidates, 1)
 		add(i, ImapFilter, 1)
@@ -108,18 +102,6 @@ func sumReduce(tr *ImapTrace) int {
 		}
 	}
 	return n
-}
-
-// candidateCounts reruns the mapping, recording the candidate-matrix
-// population per node (the variable input to the reduce stage).
-func (m *Mapper) candidateCounts(l *LDFG, be *accel.Config) ([]int, error) {
-	probe := NewMapper(m.opts)
-	probe.penalty = m.penalty
-	probe.probe = make([]int, 0, l.Graph.Len())
-	if _, _, err := probe.Map(l, be); err != nil {
-		return nil, err
-	}
-	return probe.probe, nil
 }
 
 // RenderTimingDiagram renders the FSM trace in the style of Figure 8: one
