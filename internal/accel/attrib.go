@@ -2,14 +2,15 @@ package accel
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"mesa/internal/dfg"
 	"mesa/internal/isa"
 	"mesa/internal/sched"
+	"mesa/internal/textfmt"
 )
 
 // AttribSchemaVersion identifies the attribution report layout. Bump it when
@@ -269,108 +270,126 @@ func (a *Attribution) WriteJSON(w io.Writer) error {
 // IIs with the winner starred, the recurrence chain, a per-PE utilization
 // decile heatmap ('.' = unconfigured, 0–9 = utilization decile), NoC row
 // occupancy, and the port contention split.
-func (a *Attribution) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "bottleneck attribution (schema v%d): %s mode, %d iterations, %d tile(s)\n",
-		a.SchemaVersion, a.Mode, a.Iterations, a.Tiles)
-	fmt.Fprintf(&b, "  II %.3f, bound %s (floor %.3f)\n", a.II, a.Chosen, a.FloorII)
-	b.WriteString("  candidate IIs:")
+func (a *Attribution) Render() string { return string(a.AppendRender(nil)) }
+
+// AppendRender appends Render's text to b.
+func (a *Attribution) AppendRender(b []byte) []byte {
+	b = append(b, "bottleneck attribution (schema v"...)
+	b = strconv.AppendInt(b, int64(a.SchemaVersion), 10)
+	b = append(append(append(b, "): "...), a.Mode...), " mode, "...)
+	b = strconv.AppendUint(b, a.Iterations, 10)
+	b = strconv.AppendInt(append(b, " iterations, "...), int64(a.Tiles), 10)
+	b = append(b, " tile(s)\n  II "...)
+	b = textfmt.Float(b, a.II, 0, 3)
+	b = append(append(append(b, ", bound "...), a.Chosen...), " (floor "...)
+	b = append(textfmt.Float(b, a.FloorII, 0, 3), ")\n  candidate IIs:"...)
 	for _, c := range a.Bounds {
-		star := ""
+		b = append(append(append(b, "  "...), c.Name...), ' ')
+		b = textfmt.Float(b, c.II, 0, 3)
 		if c.Limiting {
-			star = "*"
+			b = append(b, '*')
 		}
-		fmt.Fprintf(&b, "  %s %.3f%s", c.Name, c.II, star)
 	}
-	b.WriteString("\n")
+	b = append(b, '\n')
 	if len(a.Recurrence) > 0 {
-		b.WriteString("  recurrence nodes (measured lat, II contribution = lat+1):\n")
+		b = append(b, "  recurrence nodes (measured lat, II contribution = lat+1):\n"...)
 		for _, r := range a.Recurrence {
-			fmt.Fprintf(&b, "    i%-3d %-8s via %-4s lat %.2f\n", r.Node, r.Op, r.Reg, r.Lat)
+			b = textfmt.Int(append(b, "    i"...), int64(r.Node), -3)
+			b = textfmt.Str(append(b, ' '), r.Op, -8)
+			b = textfmt.Str(append(b, " via "...), r.Reg, -4)
+			b = append(textfmt.Float(append(b, " lat "...), r.Lat, 0, 2), '\n')
 		}
 	}
 	if len(a.PEs) > 0 {
-		b.WriteString(a.renderPEHeatmap())
+		b = a.appendPEHeatmap(b)
 	}
 	if len(a.NoCRows) > 0 {
-		b.WriteString("  NoC row occupancy:")
+		b = append(b, "  NoC row occupancy:"...)
 		for _, r := range a.NoCRows {
 			if r.Transfers > 0 {
-				fmt.Fprintf(&b, "  row%d %.1f%% (%d xfers/%d lanes)", r.Row, 100*r.Occupancy, r.Transfers, r.Lanes)
+				b = strconv.AppendInt(append(b, "  row"...), int64(r.Row), 10)
+				b = textfmt.Float(append(b, ' '), 100*r.Occupancy, 0, 1)
+				b = strconv.AppendUint(append(b, "% ("...), r.Transfers, 10)
+				b = strconv.AppendInt(append(b, " xfers/"...), int64(r.Lanes), 10)
+				b = append(b, " lanes)"...)
 			}
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
 	if len(a.Ports) > 0 {
-		b.WriteString("  mem port contention:")
+		b = append(b, "  mem port contention:"...)
 		for _, p := range a.Ports {
-			fmt.Fprintf(&b, "  p%d %d grants %.0f wait (%.0f%%)", p.Port, p.Grants, p.WaitCycles, 100*p.WaitShare)
+			b = strconv.AppendInt(append(b, "  p"...), int64(p.Port), 10)
+			b = strconv.AppendUint(append(b, ' '), p.Grants, 10)
+			b = textfmt.Float(append(b, " grants "...), p.WaitCycles, 0, 0)
+			b = textfmt.Float(append(b, " wait ("...), 100*p.WaitShare, 0, 0)
+			b = append(b, "%)"...)
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b
 }
 
-// renderPEHeatmap draws the configured units as a decile grid plus the
+// appendPEHeatmap draws the configured units as a decile grid plus the
 // busiest units with exact figures. Grid bounds cover every configured
 // coordinate (edge load/store columns included).
-func (a *Attribution) renderPEHeatmap() string {
+func (a *Attribution) appendPEHeatmap(b []byte) []byte {
 	minRow, maxRow := a.PEs[0].Row, a.PEs[0].Row
 	minCol, maxCol := a.PEs[0].Col, a.PEs[0].Col
-	cells := map[[2]int]PEUtil{}
 	for _, u := range a.PEs {
-		if u.Row < minRow {
-			minRow = u.Row
-		}
-		if u.Row > maxRow {
-			maxRow = u.Row
-		}
-		if u.Col < minCol {
-			minCol = u.Col
-		}
-		if u.Col > maxCol {
-			maxCol = u.Col
-		}
-		cells[[2]int{u.Row, u.Col}] = u
+		minRow, maxRow = min(minRow, u.Row), max(maxRow, u.Row)
+		minCol, maxCol = min(minCol, u.Col), max(maxCol, u.Col)
 	}
-	var b strings.Builder
-	b.WriteString("  PE firing utilization (decile heatmap, '.' unconfigured):\n")
+	// One grid line per row, each "    " plus a cell per column and '\n'.
+	width := 4 + maxCol - minCol + 1 + 1
+	b = append(b, "  PE firing utilization (decile heatmap, '.' unconfigured):\n"...)
+	grid := len(b)
 	for r := minRow; r <= maxRow; r++ {
-		b.WriteString("    ")
+		b = append(b, "    "...)
 		for c := minCol; c <= maxCol; c++ {
-			u, ok := cells[[2]int{r, c}]
-			if !ok {
-				b.WriteByte('.')
-				continue
-			}
-			d := int(u.Utilization * 10)
-			if d > 9 {
-				d = 9
-			}
-			if d < 0 {
-				d = 0
-			}
-			b.WriteByte(byte('0' + d))
+			b = append(b, '.')
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
-	top := append([]PEUtil(nil), a.PEs...)
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].BusyCycles != top[j].BusyCycles {
-			return top[i].BusyCycles > top[j].BusyCycles
+	for _, u := range a.PEs {
+		d := int(u.Utilization * 10)
+		if d > 9 {
+			d = 9
 		}
-		if top[i].Row != top[j].Row {
-			return top[i].Row < top[j].Row
+		if d < 0 {
+			d = 0
 		}
-		return top[i].Col < top[j].Col
+		b[grid+(u.Row-minRow)*width+4+u.Col-minCol] = byte('0' + d)
+	}
+
+	top := slices.Clone(a.PEs)
+	slices.SortFunc(top, func(x, y PEUtil) int {
+		// The sort reads only cmp < 0, so "x before y" as the one less
+		// function decides it orders every input alike, NaN included.
+		var less bool
+		switch {
+		case x.BusyCycles != y.BusyCycles:
+			less = x.BusyCycles > y.BusyCycles
+		case x.Row != y.Row:
+			less = x.Row < y.Row
+		default:
+			less = x.Col < y.Col
+		}
+		if less {
+			return -1
+		}
+		return 1
 	})
 	if len(top) > 4 {
 		top = top[:4]
 	}
-	b.WriteString("  busiest units:")
+	b = append(b, "  busiest units:"...)
 	for _, u := range top {
-		fmt.Fprintf(&b, "  (%d,%d) %.1f%% (%d firings)", u.Row, u.Col, 100*u.Utilization, u.Firings)
+		b = strconv.AppendInt(append(b, "  ("...), int64(u.Row), 10)
+		b = strconv.AppendInt(append(b, ','), int64(u.Col), 10)
+		b = textfmt.Float(append(b, ") "...), 100*u.Utilization, 0, 1)
+		b = strconv.AppendUint(append(b, "% ("...), u.Firings, 10)
+		b = append(b, " firings)"...)
 	}
-	b.WriteString("\n")
-	return b.String()
+	return append(b, '\n')
 }

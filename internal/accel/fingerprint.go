@@ -25,14 +25,8 @@ func (c *Config) AppendFingerprint(b []byte) []byte {
 	for _, v := range [...]int{c.NoCLanesPerRow, c.MemPorts} {
 		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
 	}
-	b = append(b, "|["...)
-	for i, lat := range c.OpLat {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = fingerprint.AppendFloat(b, lat)
-	}
-	b = fingerprint.AppendFloat(append(b, "]|"...), c.LoadLatEstimate)
+	b = fingerprint.AppendFloats(append(b, '|'), c.OpLat[:])
+	b = fingerprint.AppendFloat(append(b, '|'), c.LoadLatEstimate)
 	b = strconv.AppendInt(append(b, '|'), int64(c.BusLat), 10)
 	b = strconv.AppendBool(append(b, '|'), c.EnablePrefetch)
 	b = strconv.AppendBool(append(b, '|'), c.EnableVectorization)

@@ -11,8 +11,10 @@ package dynaspam
 
 import (
 	"fmt"
+	"strconv"
 
 	"mesa/internal/dfg"
+	"mesa/internal/fingerprint"
 	"mesa/internal/isa"
 	"mesa/internal/sched"
 )
@@ -37,6 +39,20 @@ type Config struct {
 	// Speculative enables cross-iteration pipelining (DynaSpAM's results
 	// are reported with speculation enabled).
 	Speculative bool
+}
+
+// AppendFingerprint appends the configuration as %+v prints it, the form
+// the experiments' memo keys hash:
+// "{Levels:8 FUsPerLevel:8 MemPorts:2 LevelLat:1 OpLat:[…] LoadLat:6 Speculative:true}".
+func (c Config) AppendFingerprint(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "{Levels:"...), int64(c.Levels), 10)
+	b = strconv.AppendInt(append(b, " FUsPerLevel:"...), int64(c.FUsPerLevel), 10)
+	b = strconv.AppendInt(append(b, " MemPorts:"...), int64(c.MemPorts), 10)
+	b = fingerprint.AppendFloat(append(b, " LevelLat:"...), c.LevelLat)
+	b = fingerprint.AppendFloats(append(b, " OpLat:"...), c.OpLat[:])
+	b = fingerprint.AppendFloat(append(b, " LoadLat:"...), c.LoadLat)
+	b = strconv.AppendBool(append(b, " Speculative:"...), c.Speculative)
+	return append(b, '}')
 }
 
 // Default returns the configuration used for Figure 14.

@@ -9,8 +9,10 @@ package opencgra
 
 import (
 	"fmt"
+	"strconv"
 
 	"mesa/internal/dfg"
+	"mesa/internal/fingerprint"
 	"mesa/internal/isa"
 	"mesa/internal/noc"
 	"mesa/internal/sched"
@@ -28,6 +30,18 @@ type Config struct {
 	// OpLat gives operation latencies by class (loads use LoadLat).
 	OpLat   [isa.NumClasses]float64
 	LoadLat float64
+}
+
+// AppendFingerprint appends every field that shapes a schedule to b, for
+// content-hash cache keys: the bytes of the format
+// "opencgra|%d|%d|%d|%d|%v|%g" over the fields in declaration order.
+func (c Config) AppendFingerprint(b []byte) []byte {
+	b = append(b, "opencgra"...)
+	for _, v := range [...]int{c.Rows, c.Cols, c.MemUnits, c.MaxII} {
+		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
+	}
+	b = fingerprint.AppendFloats(append(b, '|'), c.OpLat[:])
+	return fingerprint.AppendFloat(append(b, '|'), c.LoadLat)
 }
 
 // Default returns a CGRA comparable to the M-128 backend: same PE count and

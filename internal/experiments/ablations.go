@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mesa/internal/accel"
@@ -220,6 +221,14 @@ type regionStats struct {
 // regionIters bounds Ablation C's measured engine run.
 const regionIters = 1024
 
+// regionFill is the "region" kind's configuration fingerprint.
+func regionFill(be *accel.Config, forwarding bool) func([]byte) []byte {
+	return func(b []byte) []byte {
+		b = strconv.AppendBool(append(be.AppendFingerprint(b), "|fwd"...), forwarding)
+		return append(strconv.AppendInt(append(b, "|iters"...), regionIters, 10), '|')
+	}
+}
+
 // regionRun is one memoized Ablation C measurement.
 type regionRun struct {
 	avg   float64
@@ -230,9 +239,7 @@ type regionRun struct {
 // with explicit LDFG options and returns the average iteration latency.
 // Memoized under the "region" kind.
 func runRegionSerial(k *kernels.Kernel, be *accel.Config, forwarding bool) (float64, regionStats, error) {
-	v, err := memoDo("region", k, func(b []byte) []byte {
-		return fmt.Appendf(be.AppendFingerprint(b), "|fwd%t|iters%d|", forwarding, regionIters)
-	}, func() (any, error) {
+	v, err := memoDo("region", k, regionFill(be, forwarding), func() (any, error) {
 		body, err := regionFor(k)
 		if err != nil {
 			return nil, err
@@ -260,6 +267,13 @@ func runRegionSerial(k *kernels.Kernel, be *accel.Config, forwarding bool) (floa
 	}
 	r := v.(*regionRun)
 	return r.avg, r.stats, nil
+}
+
+// fwdFill is the "fwd" kind's configuration fingerprint.
+func fwdFill(be *accel.Config, fwd bool) func([]byte) []byte {
+	return func(b []byte) []byte {
+		return append(strconv.AppendBool(append(be.AppendFingerprint(b), "|fwd"...), fwd), '|')
+	}
 }
 
 // ForwardingAblationResult measures static store-to-load forwarding on a
@@ -299,9 +313,7 @@ func ForwardingAblation() (*ForwardingAblationResult, error) {
 	be := accel.M128()
 	res := &ForwardingAblationResult{}
 	for _, fwd := range []bool{true, false} {
-		v, err := memoDoProgram("fwd", prog, func(b []byte) []byte {
-			return fmt.Appendf(be.AppendFingerprint(b), "|fwd%t|", fwd)
-		}, func() (any, error) {
+		v, err := memoDoProgram("fwd", prog, fwdFill(be, fwd), func() (any, error) {
 			l, err := core.BuildLDFGOpts(body, be.EstimateLat, core.LDFGOptions{DisableForwarding: !fwd})
 			if err != nil {
 				return nil, err

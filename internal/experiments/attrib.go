@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"mesa/internal/accel"
 	"mesa/internal/kernels"
+	"mesa/internal/textfmt"
 )
 
 // AttribRow is one kernel's bottleneck attribution on the M-128 backend.
@@ -52,34 +50,38 @@ func Attrib() (*AttribResult, error) {
 // Render prints the suite-wide attribution: one summary line per kernel
 // followed by the full per-kernel report.
 func (r *AttribResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Bottleneck attribution (M-128): all four II bounds per kernel\n")
-	b.WriteString(fmt.Sprintf("%-14s %-10s %10s %10s %10s %10s %10s\n",
-		"kernel", "bound", "II", "dep", "memports", "noc", "timeshare"))
+	b := append([]byte(nil), "Bottleneck attribution (M-128): all four II bounds per kernel\n"...)
+	b = textfmt.Str(append(textfmt.Str(b, "kernel", -14), ' '), "bound", -10)
+	for _, h := range []string{"II", "dep", "memports", "noc", "timeshare"} {
+		b = textfmt.Str(append(b, ' '), h, 10)
+	}
+	b = append(b, '\n')
 	for _, row := range r.Rows {
+		b = append(textfmt.Str(b, row.Kernel, -14), ' ')
 		if !row.Qualified {
-			b.WriteString(fmt.Sprintf("%-14s %-10s (not accelerated)\n", row.Kernel, "-"))
+			b = append(textfmt.Str(b, "-", -10), " (not accelerated)\n"...)
 			continue
 		}
 		a := row.Attrib
-		ii := func(name string) float64 {
+		b = textfmt.Str(b, a.Chosen, -10)
+		b = textfmt.Float(append(b, ' '), a.II, 10, 3)
+		for _, name := range []string{"dependence", "memports", "noc", "timeshare"} {
+			ii := 0.0
 			for _, c := range a.Bounds {
 				if c.Name == name {
-					return c.II
+					ii = c.II
+					break
 				}
 			}
-			return 0
+			b = textfmt.Float(append(b, ' '), ii, 10, 3)
 		}
-		b.WriteString(fmt.Sprintf("%-14s %-10s %10.3f %10.3f %10.3f %10.3f %10.3f\n",
-			row.Kernel, a.Chosen, a.II,
-			ii("dependence"), ii("memports"), ii("noc"), ii("timeshare")))
+		b = append(b, '\n')
 	}
-	b.WriteString("\nper-kernel detail:\n")
+	b = append(b, "\nper-kernel detail:\n"...)
 	for _, row := range r.Rows {
-		if !row.Qualified {
-			continue
+		if row.Qualified {
+			b = row.Attrib.AppendRender(append(append(append(b, "--- "...), row.Kernel...), " ---\n"...))
 		}
-		b.WriteString(fmt.Sprintf("--- %s ---\n%s", row.Kernel, row.Attrib.Render()))
 	}
-	return b.String()
+	return string(b)
 }

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -109,16 +111,80 @@ func CollectBench() (*BenchSnapshot, error) {
 	}
 	higher("mappers.improved_kernels", float64(maps.ImprovedKernels))
 
-	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
+	slices.SortFunc(s.Metrics, func(a, b BenchMetric) int { return strings.Compare(a.Name, b.Name) })
 	return s, nil
 }
 
 // WriteJSON emits the snapshot as indented JSON with a trailing newline,
-// byte-stable for a given snapshot.
+// byte-stable for a given snapshot. The bytes are exactly what a
+// json.Encoder with SetIndent("", "  ") writes, built by appending rather
+// than by reflection and a second indenting pass. Like the Encoder, it
+// refuses NaN and ±Inf and then writes nothing.
 func (s *BenchSnapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	b := make([]byte, 0, 128+160*len(s.Metrics)) // a metric takes ≈110 bytes
+	b = strconv.AppendInt(append(b, "{\n  \"schema_version\": "...), int64(s.SchemaVersion), 10)
+	b, err := appendJSONFloat(append(b, ",\n  \"wall_seconds\": "...), s.WallSeconds)
+	if err != nil {
+		return err
+	}
+	b = append(b, ",\n  \"metrics\": "...)
+	switch {
+	case s.Metrics == nil:
+		b = append(b, "null"...)
+	case len(s.Metrics) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i, m := range s.Metrics {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(append(b, "\n    {\n      \"name\": "...), m.Name)
+			if b, err = appendJSONFloat(append(b, ",\n      \"value\": "...), m.Value); err != nil {
+				return err
+			}
+			b = strconv.AppendBool(append(b, ",\n      \"higher_is_better\": "...), m.HigherIsBetter)
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	_, err = w.Write(append(b, "\n}\n"...))
+	return err
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the shortest
+// form, in exponent notation below 1e-6 and from 1e21 up, with a
+// two-digit negative exponent shortened (1e-07 becomes 1e-7).
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, errors.New("json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
+// appendJSONString appends s as a JSON string. Plain printable ASCII with
+// nothing to escape (every metric name) is quoted as is; anything else takes
+// encoding/json, whose escaping (HTML characters, U+2028, invalid UTF-8)
+// the Encoder applies.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // ReadBench loads a snapshot file, rejecting unknown schema versions.

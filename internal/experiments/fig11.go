@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"mesa/internal/accel"
 	"mesa/internal/cpu"
 	"mesa/internal/kernels"
+	"mesa/internal/textfmt"
 )
 
 // Figure11Row is one benchmark's result: performance and energy efficiency
@@ -124,24 +122,28 @@ func Figure11() (*Figure11Result, error) {
 
 // Render prints the figure as a table.
 func (r *Figure11Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 11: performance and energy efficiency vs 16-core OoO CPU\n")
-	b.WriteString(fmt.Sprintf("%-14s %10s %10s %10s %10s\n",
-		"benchmark", "M128 perf", "M512 perf", "M128 e.eff", "M512 e.eff"))
-	for _, row := range r.Rows {
-		note := ""
-		if !row.M128Qualified {
-			note = "  (not accelerated on M-128)"
-		}
-		b.WriteString(fmt.Sprintf("%-14s %9.2fx %9.2fx %9.2fx %9.2fx%s\n",
-			row.Kernel, row.M128Speedup, row.M512Speedup,
-			row.M128EnergyEff, row.M512EnergyEff, note))
+	b := append([]byte(nil), "Figure 11: performance and energy efficiency vs 16-core OoO CPU\n"...)
+	b = textfmt.Str(b, "benchmark", -14)
+	for _, h := range []string{"M128 perf", "M512 perf", "M128 e.eff", "M512 e.eff"} {
+		b = textfmt.Str(append(b, ' '), h, 10)
 	}
-	b.WriteString(fmt.Sprintf("%-14s %9.2fx %9.2fx %9.2fx %9.2fx\n",
-		"geomean", r.GeomeanSpeedupM128, r.GeomeanSpeedupM512,
-		r.GeomeanEnergyM128, r.GeomeanEnergyM512))
-	b.WriteString(fmt.Sprintf("%-14s %9.2fx %9.2fx %9.2fx %9.2fx\n",
-		"paper avg", r.PaperSpeedupM128, r.PaperSpeedupM512,
-		r.PaperEnergyM128, r.PaperEnergyM512))
-	return b.String()
+	b = append(b, '\n')
+	// row appends one line: a label and four "%9.2fx" ratios.
+	row := func(label string, vs ...float64) {
+		b = textfmt.Str(b, label, -14)
+		for _, v := range vs {
+			b = append(textfmt.Float(append(b, ' '), v, 9, 2), 'x')
+		}
+	}
+	for _, k := range r.Rows {
+		row(k.Kernel, k.M128Speedup, k.M512Speedup, k.M128EnergyEff, k.M512EnergyEff)
+		if !k.M128Qualified {
+			b = append(b, "  (not accelerated on M-128)"...)
+		}
+		b = append(b, '\n')
+	}
+	row("geomean", r.GeomeanSpeedupM128, r.GeomeanSpeedupM512, r.GeomeanEnergyM128, r.GeomeanEnergyM512)
+	b = append(b, '\n')
+	row("paper avg", r.PaperSpeedupM128, r.PaperSpeedupM512, r.PaperEnergyM128, r.PaperEnergyM512)
+	return string(append(b, '\n'))
 }

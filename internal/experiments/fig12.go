@@ -6,6 +6,7 @@ import (
 
 	"mesa/internal/accel"
 	"mesa/internal/baseline/opencgra"
+	"mesa/internal/core"
 	"mesa/internal/cpu"
 	"mesa/internal/kernels"
 )
@@ -62,7 +63,8 @@ func Figure12() (*Figure12Result, error) {
 		cpuPerIter := single.Cycles / float64(k.N)
 
 		be := accel.M128()
-		noOpt, err := RunMESA(k, be, cpuPerIter, MESAOptions{DisableLoopOpts: true, DisableOptimization: true})
+		noOptions := MESAOptions{DisableLoopOpts: true, DisableOptimization: true}
+		noOpt, err := RunMESA(k, be, cpuPerIter, noOptions)
 		if err != nil {
 			return Figure12Row{}, err
 		}
@@ -79,7 +81,7 @@ func Figure12() (*Figure12Result, error) {
 		// iteration at a time, so the per-iteration cost is the schedule
 		// length.
 		ldfg := noOpt.Region.LDFG
-		sched, err := opencgra.ModuloSchedule(ldfg.Graph, opencgra.Default(be.Rows, be.Cols))
+		sched, err := openCGRASchedule(k, be, noOptions, ldfg)
 		if err != nil {
 			return Figure12Row{}, err
 		}
@@ -109,6 +111,33 @@ func Figure12() (*Figure12Result, error) {
 	res.GeomeanNoOptRatio = geomean(noOptRatios)
 	res.GeomeanOptRatio = geomean(optRatios)
 	return res, nil
+}
+
+// openCGRASchedule modulo-schedules l, the LDFG of a controller run of k on
+// be under o, on an OpenCGRA array of be's size. Memoized under the
+// "opencgra" kind, keyed on that run's controller options (those of the
+// "mesa" entry that supplied l) and the CGRA configuration.
+func openCGRASchedule(k *kernels.Kernel, be *accel.Config, o MESAOptions, l *core.LDFG) (*opencgra.Schedule, error) {
+	_, loopStart, err := k.Program()
+	if err != nil {
+		return nil, err
+	}
+	opts := mesaControllerOptions(k, loopStart, be, o)
+	cfg := opencgra.Default(be.Rows, be.Cols)
+	v, err := memoDo("opencgra", k, opencgraFill(&opts, cfg), func() (any, error) {
+		return opencgra.ModuloSchedule(l.Graph, cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*opencgra.Schedule), nil
+}
+
+// opencgraFill is the "opencgra" kind's configuration fingerprint.
+func opencgraFill(opts *core.Options, cfg opencgra.Config) func([]byte) []byte {
+	return func(b []byte) []byte {
+		return append(cfg.AppendFingerprint(append(opts.AppendFingerprint(b), '|')), '|')
+	}
 }
 
 // Render prints the figure as a table.

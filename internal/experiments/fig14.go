@@ -113,15 +113,20 @@ func Figure14() (*Figure14Result, error) {
 	return res, nil
 }
 
+// dynaspamFill is the "dynaspam" kind's configuration fingerprint.
+func dynaspamFill(be *accel.Config, cfg dynaspam.Config) func([]byte) []byte {
+	return func(b []byte) []byte {
+		return append(cfg.AppendFingerprint(append(be.AppendFingerprint(b), "|dynaspam|"...)), '|')
+	}
+}
+
 // dynaSpamCycles models the kernel's hot loop on the DynaSpAM array,
 // memoized under the "dynaspam" kind. Returns 0 when the loop does not
 // qualify.
 func dynaSpamCycles(k *kernels.Kernel) (float64, error) {
 	be := accel.M64()
 	cfg := dynaspam.Default()
-	v, err := memoDo("dynaspam", k, func(b []byte) []byte {
-		return fmt.Appendf(be.AppendFingerprint(b), "|dynaspam|%+v|", cfg)
-	}, func() (any, error) {
+	v, err := memoDo("dynaspam", k, dynaspamFill(be, cfg), func() (any, error) {
 		prog, loopStart, err := k.Program()
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mesa/internal/accel"
@@ -90,13 +91,25 @@ func Figure16() (*Figure16Result, error) {
 	return res, nil
 }
 
+// fig16Fill is the "fig16" kind's configuration fingerprint.
+func fig16Fill(be *accel.Config) func([]byte) []byte {
+	return func(b []byte) []byte {
+		b = append(be.AppendFingerprint(b), "|checkpoints["...)
+		for i, cp := range figure16Checkpoints {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendUint(b, cp, 10)
+		}
+		return append(b, "]|"...)
+	}
+}
+
 // figure16Activity runs the mapped loop from its entry, one batch per
 // checkpoint within the trip count, and returns the engine's cumulative
 // activity after each. The engine run is memoized under the "fig16" kind.
 func figure16Activity(k *kernels.Kernel, be *accel.Config, m *loopMapping) ([]accel.Activity, error) {
-	v, err := memoDo("fig16", k, func(b []byte) []byte {
-		return fmt.Appendf(be.AppendFingerprint(b), "|checkpoints%v|", figure16Checkpoints)
-	}, func() (any, error) {
+	v, err := memoDo("fig16", k, fig16Fill(be), func() (any, error) {
 		engine, machine, err := loopEngine(k, be, m.l, m.s.Pos)
 		if err != nil {
 			return nil, err

@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"mesa/internal/accel"
+	"mesa/internal/baseline/dynaspam"
+	"mesa/internal/baseline/opencgra"
 	"mesa/internal/core"
 	"mesa/internal/cpu"
 	"mesa/internal/isa"
@@ -218,6 +220,25 @@ func (r fpRand) multicore() cpu.MulticoreConfig {
 	return cpu.MulticoreConfig{Core: r.cpu(), Cores: r.int(), ForkJoinOverhead: r.float(), SampleChunks: r.int()}
 }
 
+func (r fpRand) dynaspam() dynaspam.Config {
+	c := dynaspam.Config{
+		Levels: r.int(), FUsPerLevel: r.int(), MemPorts: r.int(),
+		LevelLat: r.float(), LoadLat: r.float(), Speculative: r.bool(),
+	}
+	for i := range c.OpLat {
+		c.OpLat[i] = r.float()
+	}
+	return c
+}
+
+func (r fpRand) opencgra() opencgra.Config {
+	c := opencgra.Config{Rows: r.int(), Cols: r.int(), MemUnits: r.int(), MaxII: r.int(), LoadLat: r.float()}
+	for i := range c.OpLat {
+		c.OpLat[i] = r.float()
+	}
+	return c
+}
+
 func (r fpRand) options() core.Options {
 	o := core.Options{
 		Backend: r.accel(),
@@ -328,6 +349,59 @@ func TestMemoKeysMatchReference(t *testing.T) {
 			fill{"cpu1", c.AppendFingerprint, func(w io.Writer) { refCPU(w, c) }},
 			fill{"cpuN", mc.AppendFingerprint, func(w io.Writer) { refMulticore(w, mc) }})
 	}
+	// The suffix kinds, each on the suite's backends and on random ones,
+	// against the format strings their fills were first written with.
+	bes := []*accel.Config{accel.M64(), accel.M128(), accel.M512()}
+	for range 4 {
+		bes = append(bes, r.accel())
+	}
+	dcs := []dynaspam.Config{dynaspam.Default()}
+	for range len(bes) - 1 {
+		dcs = append(dcs, r.dynaspam())
+	}
+	for i, be := range bes {
+		for _, fwd := range []bool{true, false} {
+			fills = append(fills,
+				fill{"region", regionFill(be, fwd), func(w io.Writer) {
+					refAccel(w, be)
+					fmt.Fprintf(w, "|fwd%t|iters%d|", fwd, regionIters)
+				}},
+				fill{"fwd", fwdFill(be, fwd), func(w io.Writer) {
+					refAccel(w, be)
+					fmt.Fprintf(w, "|fwd%t|", fwd)
+				}})
+		}
+		dc := dcs[i]
+		fills = append(fills,
+			fill{"fig16", fig16Fill(be), func(w io.Writer) {
+				refAccel(w, be)
+				fmt.Fprintf(w, "|checkpoints%v|", figure16Checkpoints)
+			}},
+			fill{"dynaspam", dynaspamFill(be, dc), func(w io.Writer) {
+				refAccel(w, be)
+				fmt.Fprintf(w, "|dynaspam|%+v|", dc)
+			}})
+	}
+	// Figure 12's OpenCGRA schedule, keyed on its no-opt controller options
+	// (every backend and strategy) and on suite and random CGRA configs.
+	for i, o := range suiteOptions(t) {
+		o.EnableTiling, o.EnablePipelining, o.MaxOptimizeRounds = false, false, 0
+		c := opencgra.Default(o.Backend.Rows, o.Backend.Cols)
+		if i%3 == 2 {
+			c = r.opencgra()
+		}
+		fills = append(fills, fill{"opencgra", opencgraFill(&o, c), func(w io.Writer) {
+			refCore(w, &o)
+			fmt.Fprintf(w, "|opencgra|%d|%d|%d|%d|%v|%g|", c.Rows, c.Cols, c.MemUnits, c.MaxII, c.OpLat, c.LoadLat)
+		}})
+	}
+	fills = append(fills, fill{"mappers", mappersFill, func(w io.Writer) {
+		refAccel(w, accel.M128())
+		fmt.Fprintf(w, "|mappers|iters%d|", mapperMeasureIters)
+		for _, name := range mapperAblationOrder {
+			fmt.Fprintf(w, "%s|", name)
+		}
+	}})
 
 	for _, k := range kernels.All() {
 		prog, _, err := k.Program()

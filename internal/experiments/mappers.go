@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"mesa/internal/accel"
 	"mesa/internal/core"
 	"mesa/internal/kernels"
 	"mesa/internal/mapping"
+	"mesa/internal/textfmt"
 )
 
 // The suite-wide default placement strategy. mesabench/mesasim set it once
@@ -123,16 +124,21 @@ func Mappers() (*MappersResult, error) {
 	return res, nil
 }
 
+// mappersFill is the "mappers" kind's configuration fingerprint: the
+// backend, the measured iterations and the strategies compared.
+func mappersFill(b []byte) []byte {
+	b = strconv.AppendInt(append(accel.M128().AppendFingerprint(b), "|mappers|iters"...), mapperMeasureIters, 10)
+	b = append(b, '|')
+	for _, name := range mapperAblationOrder {
+		b = append(append(b, name...), '|')
+	}
+	return b
+}
+
 // mappersRow memoizes one kernel's strategy comparison, so the rendered
 // ablation and CollectBench, which both call Mappers, share the simulations.
 func mappersRow(k *kernels.Kernel) (MappersRow, error) {
-	v, err := memoDo("mappers", k, func(b []byte) []byte {
-		b = fmt.Appendf(accel.M128().AppendFingerprint(b), "|mappers|iters%d|", mapperMeasureIters)
-		for _, name := range mapperAblationOrder {
-			b = append(append(b, name...), '|')
-		}
-		return b
-	}, func() (any, error) {
+	v, err := memoDo("mappers", k, mappersFill, func() (any, error) {
 		row, err := mappersRowUncached(k)
 		if err != nil {
 			return nil, err
@@ -230,16 +236,22 @@ func mappersRowUncached(k *kernels.Kernel) (MappersRow, error) {
 
 // Render formats the ablation as a table.
 func (r *MappersResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Mapper strategy ablation: greedy seed vs refinement (M-128, serial, ")
-	fmt.Fprintf(&b, "%d measured iterations)\n", mapperMeasureIters)
-	b.WriteString("congestion and auto re-place with the attribution counters measured on the greedy placement;\n")
-	b.WriteString("auto:<delegate> names the selected strategy, (rev) a delegation reverted for measuring worse\n")
-	fmt.Fprintf(&b, "%-12s %-20s %8s %11s %13s %5s %9s\n",
-		"kernel", "strategy", "pred II", "model c/i", "measured c/i", "bus", "accepted")
+	b := append([]byte(nil), "Mapper strategy ablation: greedy seed vs refinement (M-128, serial, "...)
+	b = strconv.AppendInt(b, mapperMeasureIters, 10)
+	b = append(b, " measured iterations)\n"+
+		"congestion and auto re-place with the attribution counters measured on the greedy placement;\n"+
+		"auto:<delegate> names the selected strategy, (rev) a delegation reverted for measuring worse\n"...)
+	b = textfmt.Str(append(textfmt.Str(b, "kernel", -12), ' '), "strategy", -20)
+	for _, h := range []struct {
+		name  string
+		width int
+	}{{"pred II", 8}, {"model c/i", 11}, {"measured c/i", 13}, {"bus", 5}, {"accepted", 9}} {
+		b = textfmt.Str(append(b, ' '), h.name, h.width)
+	}
+	b = append(b, '\n')
 	for _, row := range r.Rows {
 		if !row.OK {
-			fmt.Fprintf(&b, "%-12s does not map under the default window\n", row.Kernel)
+			b = append(textfmt.Str(b, row.Kernel, -12), " does not map under the default window\n"...)
 			continue
 		}
 		name := row.Kernel
@@ -258,12 +270,17 @@ func (r *MappersResult) Render() string {
 			if c.Reverted {
 				strat += "(rev)"
 			}
-			fmt.Fprintf(&b, "%-12s %-20s %8.2f %11.1f %13.2f %5d %9d\n",
-				label, strat, c.PredictedII, c.ModeledIter, c.MeasuredIter,
-				c.BusFallbacks, c.RefineAccepted)
+			b = append(textfmt.Str(b, label, -12), ' ')
+			b = textfmt.Str(b, strat, -20)
+			b = textfmt.Float(append(b, ' '), c.PredictedII, 8, 2)
+			b = textfmt.Float(append(b, ' '), c.ModeledIter, 11, 1)
+			b = textfmt.Float(append(b, ' '), c.MeasuredIter, 13, 2)
+			b = textfmt.Int(append(b, ' '), int64(c.BusFallbacks), 5)
+			b = append(textfmt.Int(append(b, ' '), int64(c.RefineAccepted), 9), '\n')
 		}
 	}
-	fmt.Fprintf(&b, "\n* kernels where a refinement strategy strictly improves the greedy seed: %d/%d\n",
-		r.ImprovedKernels, len(r.Rows))
-	return b.String()
+	b = append(b, "\n* kernels where a refinement strategy strictly improves the greedy seed: "...)
+	b = strconv.AppendInt(b, int64(r.ImprovedKernels), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(len(r.Rows)), 10)
+	return string(append(b, '\n'))
 }

@@ -22,10 +22,10 @@ import (
 // assembled program, same seeded memory, same config, same result. Entries
 // are keyed by a content hash of the assembled program bytes plus the full
 // timing-relevant configuration fingerprint, so a hit is only possible when
-// the simulation would be bit-for-bit identical. Every simulation and
-// mapping of the evaluation sweep goes through it, so a warm sweep runs
-// none; only the worked examples of Figures 2 and 4, a few instructions
-// each, compute directly.
+// the simulation would be bit-for-bit identical. Every simulation, mapping
+// and baseline schedule of the evaluation sweep goes through it, so a warm
+// sweep runs none; it computes directly only the worked examples of
+// Figures 2 and 4 (a few instructions each) and the renders.
 //
 // The cache is single-flight: concurrent requests for the same key run the
 // simulation once and share the result. That makes the hit/miss counters
@@ -65,7 +65,7 @@ type memoEntry struct {
 }
 
 // DefaultSimMemoCapacity bounds the in-memory cache. The full experiment
-// sweep creates 281 distinct entries, so the default never evicts
+// sweep creates 289 distinct entries, so the default never evicts
 // during benchmarking (keeping the hit/miss counters worker-count-invariant)
 // while still bounding a long-running mesad process.
 const DefaultSimMemoCapacity = 4096
@@ -231,6 +231,7 @@ func (c *memoCache) do(key string, f func() (any, error)) (any, error) {
 //	"imapfsm"       Figure 8's cycle-by-cycle replay of that placement
 //	"region"        Ablation C's serial engine run
 //	"fig16"         Figure 16's checkpointed engine run
+//	"opencgra"      Figure 12's OpenCGRA modulo schedule of a no-opt LDFG
 //	"dynaspam"      Figure 14's DynaSpAM mapping
 //	"mappers"       one kernel's row of the mapper-strategy ablation
 //

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -30,21 +32,27 @@ func rendered[T interface{ Render() string }](experiment func() (T, error)) func
 	}
 }
 
-// sweepRenders is the full experiment set — every simulated figure, Table
-// 2, the ablations, the attribution report, and the BENCH snapshot JSON.
+// sweepRenders is the full experiment set, in the benchmark's sweep order:
+// every mesabench experiment (each figure and table, the ablations, the
+// mapper-strategy ablation and the attribution report) and the BENCH
+// snapshot JSON.
 var sweepRenders = []struct {
 	name   string
 	render func() (string, error)
 }{
+	{"table1", func() (string, error) { return Table1().Render(), nil }},
+	{"fig2", func() (string, error) { return Figure2().Render(), nil }},
+	{"fig4", rendered(Figure4)},
 	{"fig8", rendered(Figure8)},
+	{"table2", rendered(Table2)},
 	{"fig11", rendered(Figure11)},
 	{"fig12", rendered(Figure12)},
 	{"fig13", rendered(Figure13)},
 	{"fig14", rendered(Figure14)},
 	{"fig15", rendered(Figure15)},
 	{"fig16", rendered(Figure16)},
-	{"table2", rendered(Table2)},
 	{"ablations", RenderAblations},
+	{"mappers", rendered(Mappers)},
 	{"attrib", rendered(Attrib)},
 	{"BENCH.json", func() (string, error) {
 		snap, err := CollectBench()
@@ -125,25 +133,70 @@ func TestSimMemoDifferential(t *testing.T) {
 // the CPU model) into the profile of a sweep that runs neither.
 var warmSweepPrime sync.Once
 
-// BenchmarkWarmSweep times one serial evaluation sweep against a warm memo.
-// Every simulation and mapping is a memo hit, so what it measures is key
-// hashing, lookups, derivation and rendering; a timed sweep that misses
-// the memo fails the benchmark.
+// sweepFanOut renders every sweepRenders entry as the benchmark's sweep
+// does: one task per entry, fanned out over workers by Run.
+func sweepFanOut(t testing.TB, workers int) {
+	_, err := Run(context.Background(), workers, len(sweepRenders), func(_ context.Context, i int) (string, error) {
+		return sweepRenders[i].render()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkWarmSweep times one evaluation sweep against a warm memo:
+// serially, and fanned out over two workers as the benchmark's sweep-warm
+// workload runs it. Every simulation and mapping is a memo hit, so what it
+// measures is key hashing, lookups, derivation and rendering; a timed
+// sweep that misses the memo fails the benchmark.
 func BenchmarkWarmSweep(b *testing.B) {
-	defer SetWorkers(SetWorkers(1))
 	warmSweepPrime.Do(func() {
+		defer SetWorkers(SetWorkers(1)) // all priming work under Once, for -ignore=Once
 		ResetSimMemo()
 		sweepOutputs(b)
 	})
-	misses := memoMetric(b, "sim_cache_misses")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sweepOutputs(b)
+	for _, workers := range []int{1, 2} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			defer SetWorkers(SetWorkers(workers))
+			misses := memoMetric(b, "sim_cache_misses")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweepFanOut(b, workers)
+			}
+			b.StopTimer()
+			if got := memoMetric(b, "sim_cache_misses"); got != misses {
+				b.Fatalf("timed warm sweeps recorded %v memo misses", got-misses)
+			}
+		})
 	}
-	b.StopTimer()
-	if got := memoMetric(b, "sim_cache_misses"); got != misses {
-		b.Fatalf("timed warm sweeps recorded %v memo misses", got-misses)
+}
+
+// warmSweepAllocs bounds the allocations of one serial warm sweep: the
+// 2,825 measured once the renders, the snapshot writer, the sorts and the
+// key suffixes lost fmt and reflection (4,662 before), plus 10%. A render
+// that goes back to fmt crosses it.
+const warmSweepAllocs = 3108
+
+// TestWarmSweepAllocs pins the allocations of a serial warm sweep.
+func TestWarmSweepAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a cold priming sweep in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("a -race build's sync.Pool drops buffers at random")
+	}
+	defer SetWorkers(SetWorkers(1))
+	ResetSimMemo()
+	sweepFanOut(t, 1)
+	misses := memoMetric(t, "sim_cache_misses")
+	allocs := testing.AllocsPerRun(5, func() { sweepFanOut(t, 1) })
+	if got := memoMetric(t, "sim_cache_misses"); got != misses {
+		t.Fatalf("warm sweeps recorded %v memo misses", got-misses)
+	}
+	t.Logf("%v allocations per warm sweep", allocs)
+	if allocs > warmSweepAllocs {
+		t.Errorf("a warm sweep allocates %v times, want at most %d", allocs, warmSweepAllocs)
 	}
 }
 
@@ -211,11 +264,12 @@ func TestMemoKeyAllocs(t *testing.T) {
 	}
 }
 
-// directlyMemoized are the experiments that map loops and run the engine
-// themselves rather than through RunMESA and the CPU timing entry points.
-var directlyMemoized = []string{"ablations", "table2", "fig8", "fig16"}
+// directlyMemoized are the experiments that map loops, run the engine or
+// schedule a baseline themselves rather than through RunMESA and the CPU
+// timing entry points.
+var directlyMemoized = []string{"ablations", "table2", "fig8", "fig12", "fig16"}
 
-// TestSweepMemoDifferential: the ablations, Table 2, Figure 8 and Figure 16
+// TestSweepMemoDifferential: the ablations, Table 2, Figures 8, 12 and 16
 // render byte-identically from a cold memo, a warm memo and with the memo
 // disabled; the warm render is served entirely from the memo (no new
 // misses); and the cold miss count is the same at one worker and at two.

@@ -21,3 +21,16 @@ func AppendFloat(b []byte, f float64) []byte {
 	}
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
+
+// AppendFloats appends fs as %v prints a float slice or array: "[a b c]",
+// each element as AppendFloat writes it.
+func AppendFloats(b []byte, fs []float64) []byte {
+	b = append(b, '[')
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = AppendFloat(b, f)
+	}
+	return append(b, ']')
+}

@@ -20,3 +20,17 @@ func TestAppendFloatMatchesFmt(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendFloatsMatchesFmt: AppendFloats prints a slice, and an array
+// through its slice, exactly as %v does.
+func TestAppendFloatsMatchesFmt(t *testing.T) {
+	arr := [4]float64{1, 0.5, math.Copysign(0, -1), math.Inf(-1)}
+	for _, fs := range [][]float64{nil, {}, {3}, {1e21, math.NaN(), 12}, arr[:]} {
+		if got, want := string(AppendFloats([]byte("x"), fs)), fmt.Sprintf("x%v", fs); got != want {
+			t.Errorf("AppendFloats(%v) = %q, fmt %%v = %q", fs, got, want)
+		}
+	}
+	if got, want := string(AppendFloats(nil, arr[:])), fmt.Sprintf("%v", arr); got != want {
+		t.Errorf("AppendFloats of an array = %q, fmt %%v = %q", got, want)
+	}
+}
